@@ -9,31 +9,17 @@ problem, 3 enumeration or fold budget exceeded.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 
-import numpy as np
-
 from . import corpus
-from .csp import (
-    ConstraintOracle,
-    brute_force_opt,
-    distance_to_satisfiability,
-    load_instance,
-    save_instance,
-    evaluate,
-)
+from .csp import ConstraintOracle, brute_force_opt, evaluate, load_instance, save_instance
 from .errors import BudgetExceeded, CsplpError, FoldTooLarge, SizeLimit
 from .gaplab import GapParams, collision_experiment, gen_lp_instance, gen_opt_instance
-from .localsolve import LocalSolverParams, LpOracle, assemble_global
-from .lp import (
-    build_basic_lp,
-    load_solution,
-    save_solution,
-    solve_basic_lp,
-    solve_lp,
-    LpSolution,
-)
+from .localsolve import LocalSolverParams, LpOracle
+from .lp import load_solution, mu_assignments, save_solution, solve_basic_lp
 from .pipeline import PipelineParams, normalize_packing, relax_basic_lp, to_packing
 from .robustness import repair_to_feasible
 from .rounding import TESTER_DELTA_PRESETS, round_assignment, test_satisfiability
@@ -46,9 +32,12 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path, command, seed, columns, rows):
-    lines = [f"# csplp {command} seed={seed}", ",".join(columns)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    buf.write(f"# csplp {command} seed={seed}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+    text = buf.getvalue()
     if path == "-":
         sys.stdout.write(text)
     else:
@@ -56,9 +45,9 @@ def _write_csv(path, command, seed, columns, rows):
             fh.write(text)
 
 
-def _lp_oracle(instance, epsilon, kappa, cap):
+def _lp_oracle(instance, epsilon, cap):
     pp = PipelineParams.for_instance(instance, epsilon)
-    solver = LocalSolverParams(epsilon=epsilon, kappa=kappa, rounds_cap=cap)
+    solver = LocalSolverParams(epsilon=epsilon, rounds_cap=cap)
     return LpOracle(ConstraintOracle(instance), pp, solver), pp
 
 
@@ -132,23 +121,23 @@ def _parse_column(text):
 
 def cmd_local_lp(args):
     inst = load_instance(args.instance)
-    oracle, _ = _lp_oracle(inst, args.epsilon, args.rounds_kappa, args.rounds_cap)
+    oracle, _ = _lp_oracle(inst, args.epsilon, args.rounds_cap)
     rows = []
     if args.query:
         name = _parse_column(args.query)
         value = oracle.query(name)
         rows.append((args.query, value, oracle.last_query_cost))
     elif args.assemble:
-        from .lp import mu_assignments
+        # names in the --query form x:v:a and mu:cid:b1,b2
         for v in range(inst.n):
             for a in range(inst.q):
                 val = oracle.query(("x", v, a))
-                rows.append((_name(("x", v, a)), val, oracle.last_query_cost))
+                rows.append((f"x:{v}:{a}", val, oracle.last_query_cost))
         for cid, c in enumerate(inst.constraints):
             for beta in mu_assignments(inst, c):
                 val = oracle.query(("mu", cid, beta))
-                rows.append((_name(("mu", cid, beta)).replace("(", "").replace(")", ""),
-                             val, oracle.last_query_cost))
+                rows.append((f"mu:{cid}:" + ",".join(map(str, beta)), val,
+                             oracle.last_query_cost))
     else:
         raise ValueError("local-lp needs --query or --assemble")
     _write_csv(args.csv, "local-lp", "none", ("name", "value", "query_cost"), rows)
@@ -156,9 +145,9 @@ def cmd_local_lp(args):
 
 
 def _round_trial(task):
-    path, lp_eps, kappa, cap, epsilon, trial, seed = task
+    path, lp_eps, cap, epsilon, trial, seed = task
     inst = load_instance(path)
-    oracle, _ = _lp_oracle(inst, lp_eps, kappa, cap)
+    oracle, _ = _lp_oracle(inst, lp_eps, cap)
     base = ConstraintOracle(inst)
     res = round_assignment(base, oracle, epsilon, seed)
     val = evaluate(inst, res.full_assignment(inst.n))
@@ -184,7 +173,7 @@ def cmd_round(args):
         opt_value, _ = brute_force_opt(inst, budget=args.budget)
     except BudgetExceeded:
         opt_value = ""
-    tasks = [(args.instance, args.lp_epsilon, args.rounds_kappa, args.rounds_cap,
+    tasks = [(args.instance, args.lp_epsilon, args.rounds_cap,
               args.epsilon, trial, args.seed + trial)
              for trial in range(args.trials)]
     rows = [(trial, seed, est, val, opt_value, cost)
@@ -196,9 +185,9 @@ def cmd_round(args):
 
 
 def _tester_trial(task):
-    path, lp_eps, kappa, cap, epsilon, delta, trial, seed = task
+    path, lp_eps, cap, epsilon, delta, trial, seed = task
     inst = load_instance(path)
-    oracle, _ = _lp_oracle(inst, lp_eps, kappa, cap)
+    oracle, _ = _lp_oracle(inst, lp_eps, cap)
     verdict = test_satisfiability(ConstraintOracle(inst), oracle, epsilon, delta, seed)
     return (trial, seed, int(verdict))
 
@@ -211,7 +200,7 @@ def cmd_test_sat(args):
         if preset is None:
             raise ValueError("give --delta or a testable --family preset")
         delta = preset(args.epsilon)
-    tasks = [(args.instance, args.lp_epsilon, args.rounds_kappa, args.rounds_cap,
+    tasks = [(args.instance, args.lp_epsilon, args.rounds_cap,
               args.epsilon, delta, trial, args.seed + trial)
              for trial in range(args.trials)]
     rows = _run_trials(_tester_trial, tasks, args.jobs)
@@ -319,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common_lp(sp):
         sp.add_argument("--lp-epsilon", type=float, default=0.2,
                         help="slack of the relaxation behind the local oracle")
-        sp.add_argument("--rounds-kappa", type=float, default=1.0)
         sp.add_argument("--rounds-cap", type=int, default=64)
         sp.add_argument("--jobs", type=int, default=1,
                         help="parallel workers for independent trials")
@@ -342,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("local-lp", help="query the local LP oracle")
     sp.add_argument("--instance", required=True)
     sp.add_argument("--epsilon", type=float, default=0.2)
-    sp.add_argument("--rounds-kappa", type=float, default=1.0)
     sp.add_argument("--rounds-cap", type=int, default=64)
     sp.add_argument("--query", help="column name, x:v:a or mu:cid:b1,b2")
     sp.add_argument("--assemble", action="store_true")

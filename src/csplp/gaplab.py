@@ -13,8 +13,6 @@ assume each position owns its own variable block.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np

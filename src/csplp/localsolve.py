@@ -2,12 +2,15 @@
 
 A query names one column of the restricted packing program.  We explore the
 constraint structure around the column's anchor variables out to a fixed
-radius using only (variable, index) oracle accesses, rebuild the rows of the
-packing program that live inside that ball from the global model parameters,
+radius using only (variable, index) oracle accesses, build the packing
+program on that ball with the same builder and scaling as the whole-instance
+program (`pipeline.packing_rows` over the ball's variables and constraints),
 and run the round-limited dynamics there.  Values of columns whose own
 radius-r neighbourhood is contained in the ball come out exactly as a global
 run would produce them, which is what makes the assembled vector feasible:
 every column is scaled against the true load of every row it appears in.
+Repaired basic-coordinate values go through `pipeline.repair_blocks`, the
+same block-reset rule `restore_and_repair` applies to a global vector.
 
 The dynamics are a two-phase rule:
 
@@ -28,13 +31,13 @@ acceptance suite tracks it against exact solves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .csp import ConstraintOracle, CspInstance
 from .lp import LpSolution, mu_assignments, value_of
-from .pipeline import PipelineParams
+from .pipeline import PipelineParams, flatten_rows, packing_rows, repair_blocks, split_rows
 
 
 @dataclass(frozen=True)
@@ -42,12 +45,11 @@ class LocalSolverParams:
     """Round budget and step size of the local dynamics (deterministic)."""
 
     epsilon: float = 0.2
-    kappa: float = 1.0
     eta: float = 0.25
     rounds_cap: int = 64
 
     def rounds(self, gamma_p: float, gamma_d: float) -> int:
-        raw = self.kappa * math.log(max(gamma_p, 2.0)) * math.log(max(gamma_d, 2.0))
+        raw = math.log(max(gamma_p, 2.0)) * math.log(max(gamma_d, 2.0))
         raw /= self.epsilon ** 4
         return max(1, min(self.rounds_cap, int(math.ceil(raw))))
 
@@ -77,13 +79,6 @@ def analytic_gamma_bounds(pp: PipelineParams):
 
 
 # --- ball exploration ---------------------------------------------------------
-
-KIND_RANK = {"x": 0, "xbar": 1, "mu": 2, "mubar": 3}
-
-
-def _column_key(label):
-    return (KIND_RANK[label[0]],) + label[1:]
-
 
 class CommGraphView:
     """Everything discovered within `radius` variable hops of the seed set.
@@ -136,17 +131,11 @@ def _anchor_vars(oracle, center, view) -> set[int]:
     kind = center[0]
     if kind in ("x", "xbar"):
         return {center[1]}
-    if kind in ("mu", "mubar", "r6"):
+    if kind in ("mu", "mubar"):
         c = oracle.constraint(center[1])
         view.query_cost += 1
         return set(c.distinct_vars())
-    if kind in ("r1", "r2", "r5"):
-        return {center[1]}
-    if kind in ("r3", "r4"):
-        c = oracle.constraint(center[1])
-        view.query_cost += 1
-        return set(c.distinct_vars()) | {center[2]}
-    raise ValueError(f"unknown column or row name {center}")
+    raise ValueError(f"unknown column name {center}")
 
 
 # --- packing data inside a ball ----------------------------------------------
@@ -155,18 +144,24 @@ class PackingDynamics:
     """The two-phase rule on an explicit packing program (rows as COO arrays)."""
 
     def __init__(self, labels, row_cols, row_coefs, rhs):
+        self._load(labels, *flatten_rows(row_cols, row_coefs), rhs)
+
+    def _load(self, labels, flat_rows, flat_cols, flat_coefs, rhs):
+        """Entries as flat (row, col, coef) arrays, sorted by row."""
         self.labels = list(labels)
         self.index = {lab: i for i, lab in enumerate(self.labels)}
-        self.row_cols = row_cols
-        self.row_coefs = row_coefs
         self.rhs = np.asarray(rhs, dtype=np.float64)
-        self.flat_rows = np.concatenate([
-            np.full(len(cols), j, dtype=np.int64) for j, cols in enumerate(row_cols)
-        ]) if row_cols else np.empty(0, dtype=np.int64)
-        self.flat_cols = (np.concatenate(row_cols)
-                          if row_cols else np.empty(0, dtype=np.int64))
-        self.flat_coefs = (np.concatenate(row_coefs)
-                           if row_coefs else np.empty(0, dtype=np.float64))
+        self.flat_rows = flat_rows
+        self.flat_cols = flat_cols
+        self.flat_coefs = flat_coefs
+
+    @property
+    def row_cols(self) -> list:
+        return split_rows(self.flat_cols, self.flat_rows, len(self.rhs))
+
+    @property
+    def row_coefs(self) -> list:
+        return split_rows(self.flat_coefs, self.flat_rows, len(self.rhs))
 
     def initial_point(self, gamma_d: float) -> np.ndarray:
         z0 = np.full(len(self.labels), np.inf)
@@ -197,71 +192,18 @@ class PackingDynamics:
 
 
 class BallProgram(PackingDynamics):
-    """Rows and columns of the restricted packing program restricted to a ball.
+    """The restricted packing program restricted to a ball.
 
-    Data is rebuilt from the view plus the global parameters; the entries
-    agree exactly with what the whole-instance builder produces, which the
-    tests cross-check.
+    `pipeline.packing_rows` over the view's variables and constraints, scaled
+    by the stage-3 rule of the whole-instance program, so its entries agree
+    exactly with what the whole-instance builder produces.
     """
 
     def __init__(self, view: CommGraphView, inst: CspInstance, pp: PipelineParams):
-        q, C, w, eps = pp.q, pp.C, pp.w, pp.epsilon
-        labels: list[tuple] = []
-        for v in sorted(view.known_vars):
-            labels += [("x", v, a) for a in range(q)]
-            labels += [("xbar", v, a) for a in range(q)]
-        for cid in sorted(view.constraints):
-            c = view.constraints[cid]
-            labels += [("mu", cid, beta) for beta in mu_assignments(inst, c)]
-            labels += [("mubar", cid, beta) for beta in mu_assignments(inst, c)]
-        labels.sort(key=_column_key)
-        self.labels = labels
-        self.index = {lab: i for i, lab in enumerate(labels)}
-
-        rows_cols: list[np.ndarray] = []
-        rows_coefs: list[np.ndarray] = []
-        rhs: list[float] = []
-
-        def add(entries, bound):
-            cols = np.array([self.index[lab] for lab, _ in entries], dtype=np.int64)
-            rows_cols.append(cols)
-            rows_coefs.append(np.array([c for _, c in entries], dtype=np.float64))
-            rhs.append(bound)
-
-        ratio = (w + C) / C
-        for v in sorted(view.known_vars):
-            add([(("x", v, a), 1.0) for a in range(q)], C * (q - 1 + eps))
-            add([(("xbar", v, a), 1.0) for a in range(q)], C * (1 + eps))
-            for a in range(q):
-                add([(("x", v, a), 1.0), (("xbar", v, a), 1.0)], C)
-        for cid in sorted(view.constraints):
-            c = view.constraints[cid]
-            dv = c.distinct_vars()
-            k = len(dv)
-            betas = list(mu_assignments(inst, c))
-            sat = {beta: c.weight * inst.predicates[c.predicate].value(
-                [dict(zip(dv, beta))[u] for u in c.scope], q) for beta in betas}
-            for pos, v in enumerate(dv):
-                for a in range(q):
-                    hits = [b for b in betas if b[pos] == a]
-                    add([(("x", v, a), ratio)]
-                        + [(("mu", cid, b), (w + C) / (sat[b] + C)) for b in hits],
-                        (1 + eps) * (w + C))
-                    add([(("xbar", v, a), 1.0)]
-                        + [(("mubar", cid, b), 1.0) for b in hits],
-                        C * (q ** (k - 1) + eps))
-            for b in betas:
-                add([(("mu", cid, b), (w + C) / (sat[b] + C)),
-                     (("mubar", cid, b), ratio)], w + C)
-        super().__init__(labels, rows_cols, rows_coefs, rhs)
-        self.mu_scale = {}
-        for cid in sorted(view.constraints):
-            c = view.constraints[cid]
-            dv = c.distinct_vars()
-            for beta in mu_assignments(inst, c):
-                vals = [dict(zip(dv, beta))[u] for u in c.scope]
-                self.mu_scale[("mu", cid, beta)] = (
-                    c.weight * inst.predicates[c.predicate].value(vals, q) + C)
+        rows = packing_rows(inst, pp, sorted(view.known_vars), sorted(view.constraints))
+        coefs, rhs = rows.restricted(pp)
+        self._load(rows.labels, rows.row, rows.col, coefs, rhs)
+        self.col_scale = rows.reward             # stage-2 value = z / col_scale
 
 
 # --- the oracle ----------------------------------------------------------------
@@ -313,46 +255,27 @@ class LpOracle:
         return value
 
     def _query_inner(self, name) -> float:
-        inst = self.oracle.instance
-        q, C = self.pipeline.q, self.pipeline.C
         kind = name[0]
+        if kind not in ("x", "mu"):
+            raise ValueError(f"unknown oracle name {name}")
+        inst = self.oracle.instance
+        view = build_ball(self.oracle, name, self.rounds + (1 if kind == "x" else 2))
+        prog = BallProgram(view, inst, self.pipeline)
+        z2 = self._solve(prog)
+
+        def stage2(label):
+            i = prog.index[label]
+            return z2[i] / prog.col_scale[i]
+
+        eps_reset = self.pipeline.eps_reset
         if kind == "x":
             _, v, a = name
-            view = build_ball(self.oracle, name, self.rounds + 1)
-            prog = BallProgram(view, inst, self.pipeline)
-            z2 = self._solve(prog)
-            if self._block_reset(prog, z2, v):
-                return 1.0 / q
-            return 1.0 - z2[prog.index[("x", v, a)]] / C
-        if kind == "mu":
-            _, cid, beta = name
-            view = build_ball(self.oracle, name, self.rounds + 2)
-            prog = BallProgram(view, inst, self.pipeline)
-            z2 = self._solve(prog)
-            c = view.constraints[cid]
-            dv = c.distinct_vars()
-            resets = {u: self._block_reset(prog, z2, u) for u in dv}
-            if any(resets.values()):
-                factors = {}
-                for u in dv:
-                    if resets[u]:
-                        factors[u] = np.full(q, 1.0 / q)
-                    else:
-                        row = np.array([1.0 - z2[prog.index[("x", u, b)]] / C
-                                        for b in range(q)])
-                        row = np.clip(row, 0.0, None)
-                        factors[u] = row / row.sum()
-                return float(np.prod([factors[u][b] for u, b in zip(dv, beta)]))
-            return float(z2[prog.index[name]] / prog.mu_scale[name])
-        raise ValueError(f"unknown oracle name {name}")
-
-    def _block_reset(self, prog: BallProgram, z2: np.ndarray, v: int) -> bool:
-        q, C = self.pipeline.q, self.pipeline.C
-        for a in range(q):
-            pair = (z2[prog.index[("x", v, a)]] + z2[prog.index[("xbar", v, a)]]) / C
-            if 1.0 - pair >= self.pipeline.eps_reset:
-                return True
-        return False
+            marginals, _, _ = repair_blocks(stage2, inst, eps_reset, [v], [])
+            return float(marginals[v][a])
+        _, cid, beta = name
+        dv = view.constraints[cid].distinct_vars()
+        _, tables, _ = repair_blocks(stage2, inst, eps_reset, dv, [cid])
+        return float(tables[cid][np.ravel_multi_index(beta, (inst.q,) * len(beta))])
 
 
 # --- whole-oracle materializers (test scale only) --------------------------------

@@ -8,24 +8,33 @@ column so optimal pairs sum to one.  Stage 3 rescales variables by their
 objective coefficient and rows by fixed multipliers so the objective is
 1^T z and every nonzero matrix entry is at least one.
 
+`packing_rows` is the one builder of the stage-2 rows, over a (variables,
+constraints) subset: the whole instance for `to_packing`, one component for
+`exact_packing_optimum`, one ball for the local oracle.  `PackingRows.restricted`
+is the one stage-3 scaling on top of it.
+
 restore_and_repair walks back: it maps a feasible stage-2 vector to basic
-coordinates, resetting any variable block whose pair sums drift and rebuilding
-the affected local tables as product distributions.
+coordinates through `repair_blocks`, the block-reset rule the local oracle
+applies per query too: any variable block whose pair sums drift is reset and
+the affected local tables are rebuilt as product distributions.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import simplex
-from .csp import CspInstance, connected_components, subinstance
+from .csp import CspInstance, connected_components
 from .errors import NotFeasibleForLp3, SizeLimit
 from .lp import (
     LinearProgram,
     LpSolution,
+    Row,
+    infeasibility,
     mu_assignments,
     mu_objective_coef,
     value_of,
@@ -104,46 +113,168 @@ def relax_basic_lp(instance: CspInstance, epsilon: float) -> LinearProgram:
 
 def to_packing(instance: CspInstance, params: PipelineParams) -> LinearProgram:
     """Stage 2: complement columns, <=-only rows, reward C on every column."""
-    q, C, eps = instance.q, params.C, params.epsilon
-    lp = LinearProgram()
-    for v in range(instance.n):
-        for a in range(q):
-            lp.add_column(("x", v, a), C)
-    for v in range(instance.n):
-        for a in range(q):
-            lp.add_column(("xbar", v, a), C)
-    for cid, c in enumerate(instance.constraints):
-        for beta in mu_assignments(instance, c):
-            lp.add_column(("mu", cid, beta), mu_objective_coef(instance, c, beta) + C)
-    for cid, c in enumerate(instance.constraints):
-        for beta in mu_assignments(instance, c):
-            lp.add_column(("mubar", cid, beta), C)
+    return packing_rows(instance, params).linear_program()
 
-    for v in range(instance.n):
-        lp.add_row([(("x", v, a), 1.0) for a in range(q)], "<=", q - 1 + eps,
-                   tag=("r1", v))
-    for v in range(instance.n):
-        lp.add_row([(("xbar", v, a), 1.0) for a in range(q)], "<=", 1 + eps,
-                   tag=("r2", v))
-    for cid, c in enumerate(instance.constraints):
-        dv = c.distinct_vars()
-        k = len(dv)
-        for pos, v in enumerate(dv):
-            for a in range(q):
-                betas = [beta for beta in mu_assignments(instance, c) if beta[pos] == a]
-                lp.add_row([(("x", v, a), 1.0)] + [(("mu", cid, b), 1.0) for b in betas],
-                           "<=", 1 + eps, tag=("r3", cid, v, a))
-                lp.add_row([(("xbar", v, a), 1.0)] + [(("mubar", cid, b), 1.0) for b in betas],
-                           "<=", q ** (k - 1) + eps, tag=("r4", cid, v, a))
-    for v in range(instance.n):
-        for a in range(q):
-            lp.add_row([(("x", v, a), 1.0), (("xbar", v, a), 1.0)], "<=", 1.0,
-                       tag=("r5", v, a))
-    for cid, c in enumerate(instance.constraints):
-        for beta in mu_assignments(instance, c):
-            lp.add_row([(("mu", cid, beta), 1.0), (("mubar", cid, beta), 1.0)], "<=", 1.0,
-                       tag=("r6", cid, beta))
-    return lp
+
+@functools.lru_cache(maxsize=None)
+def _assignment_grid(q: int, k: int):
+    """Assignments to k distinct variables in `mu_assignments` order.
+
+    Returns the tuples, their (q^k, k) array, and per (position, value) the
+    ascending indices of the assignments that agree there, shape (k, q, q^(k-1)).
+    Cached and shared, so the arrays are read-only.
+    """
+    betas = tuple(itertools.product(range(q), repeat=k))
+    grid = np.array(betas, dtype=np.int64).reshape(len(betas), k)
+    hits = np.argsort(grid, axis=0, kind="stable").T.reshape(k, q, -1)
+    grid.flags.writeable = hits.flags.writeable = False
+    return betas, grid, hits
+
+
+@dataclass
+class PackingRows:
+    """The stage-2 packing program over a (variables, constraints) subset, flat.
+
+    Column blocks are x, xbar, mu, mubar; rows come as r1, r2, r3/r4
+    (interleaved per constraint, variable and value), r5, r6, all of them
+    <= rows.  Entries are (row, col, coef) triples sorted by row.
+    """
+
+    labels: list
+    reward: np.ndarray      # stage-2 objective per column
+    tags: list              # per row
+    rhs: np.ndarray         # per row
+    row: np.ndarray         # per entry
+    col: np.ndarray
+    coef: np.ndarray
+
+    @classmethod
+    def of(cls, lp: LinearProgram) -> "PackingRows":
+        row, col, coef = flatten_rows([r.cols for r in lp.rows], [r.coefs for r in lp.rows])
+        return cls(list(lp.labels), np.asarray(lp.objective, dtype=float),
+                   [r.tag for r in lp.rows], np.array([r.rhs for r in lp.rows], dtype=float),
+                   row, col, coef)
+
+    def split(self, flat) -> list:
+        """Per-row pieces of a per-entry array."""
+        return split_rows(flat, self.row, len(self.rhs))
+
+    def linear_program(self) -> LinearProgram:
+        lp = LinearProgram()
+        for label, reward in zip(self.labels, self.reward.tolist()):
+            lp.add_column(label, reward)
+        lp.rows = [Row(cols, coefs, "<=", rhs, tag) for cols, coefs, rhs, tag in
+                   zip(self.split(self.col), self.split(self.coef), self.rhs.tolist(), self.tags)]
+        return lp
+
+    def restricted(self, params: PipelineParams):
+        """Stage 3: scale columns by reward, rows to coefficient floor one.
+
+        Rows carrying objective-bearing table columns (r3, r6) are multiplied
+        by (w + C), the remaining rows by C; combined with dividing each
+        column by its stage-2 objective coefficient this makes every
+        surviving coefficient >= 1 while the objective becomes the plain sum
+        of the scaled columns.  Returns (coefficient per entry, rhs per row).
+        """
+        boosted = np.array([tag[0] in ("r3", "r6") for tag in self.tags], dtype=bool)
+        mult = np.where(boosted, params.w + params.C, params.C)
+        return self.coef * mult[self.row] / self.reward[self.col], self.rhs * mult
+
+    def program(self, params: PipelineParams) -> "PackingProgram":
+        coefs, rhs = self.restricted(params)
+        return PackingProgram(
+            col_labels=list(self.labels),
+            row_tags=self.tags,
+            row_entries=list(zip(self.split(self.col), self.split(coefs))),
+            c=rhs,
+            b=np.ones(len(self.labels)),
+            col_scale=self.reward,
+        )
+
+
+def flatten_rows(row_cols, row_coefs):
+    """Per-row column and coefficient arrays as flat (row, col, coef) arrays."""
+    sizes = [len(cols) for cols in row_cols]
+    return (np.repeat(np.arange(len(sizes)), sizes),
+            np.concatenate(list(row_cols) or [np.empty(0, dtype=np.int64)]),
+            np.concatenate(list(row_coefs) or [np.empty(0)]))
+
+
+def split_rows(flat, rows, num_rows: int) -> list:
+    """Cut a per-entry array, sorted by row id, into one piece per row."""
+    ends = np.cumsum(np.bincount(rows, minlength=num_rows)).tolist()
+    return [flat[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def packing_rows(instance: CspInstance, params: PipelineParams, variables=None,
+                 constraint_ids=None) -> PackingRows:
+    """The stage-2 packing program restricted to a subset; the whole instance by default.
+
+    This is the only place packing rows are written: `to_packing`,
+    `exact_packing_optimum` (per component) and the local oracle's ball
+    program (per ball) all read it.  Every distinct variable of a listed
+    constraint must be listed.  Columns are indexed through per-variable and
+    per-constraint offsets, so rows and entries come out in one pass per
+    constraint arity.
+    """
+    q, C, eps = instance.q, params.C, params.epsilon
+    vs = range(instance.n) if variables is None else list(variables)
+    cids = range(len(instance.constraints)) if constraint_ids is None else list(constraint_ids)
+    cons = [instance.constraints[cid] for cid in cids]
+    dvs = [c.distinct_vars() for c in cons]
+    nv, nx = len(vs), len(vs) * q
+    ks = np.array([len(dv) for dv in dvs], dtype=np.int64)
+    sizes = q ** ks
+    nmu = int(sizes.sum())
+    mu0 = 2 * nx + np.cumsum(sizes) - sizes       # first mu column per constraint
+    rows34 = 2 * q * ks                           # its r3/r4 rows
+    ents34 = rows34 * (1 + sizes // q)            # and their entries
+    r0, e0 = np.cumsum(rows34) - rows34, np.cumsum(ents34) - ents34
+    row34 = np.empty(int(ents34.sum()), dtype=np.int64)
+    col34 = np.empty_like(row34)
+    rhs34 = np.empty(int(rows34.sum()))
+
+    slot = {v: i for i, v in enumerate(vs)}
+    for k in sorted(set(ks.tolist())):
+        _, _, hits = _assignment_grid(q, k)
+        g = np.flatnonzero(ks == k)
+        # x column of (pos, a) and the mu columns agreeing with it, per constraint
+        x = (np.array([[slot[v] for v in dvs[i]] for i in g]).reshape(len(g), k, 1, 1) * q
+             + np.arange(q).reshape(q, 1))
+        mu = mu0[g].reshape(-1, 1, 1, 1) + hits
+        cols = np.stack([np.concatenate([x, mu], 3),
+                         np.concatenate([x + nx, mu + nmu], 3)], 3)   # (g, pos, a, r3/r4, entry)
+        rows = r0[g].reshape(-1, 1) + np.arange(2 * k * q)
+        at = e0[g].reshape(-1, 1) + np.arange(cols[0].size)
+        col34[at] = cols.reshape(len(g), -1)
+        row34[at] = np.repeat(rows, cols.shape[-1], axis=1)
+        rhs34[rows] = np.tile([1 + eps, q ** (k - 1) + eps], k * q)
+
+    # r5 and r6 pair every x and mu column with its complement
+    first = np.concatenate([np.arange(nx), 2 * nx + np.arange(nmu)])
+    second = first + np.repeat([nx, nmu], [nx, nmu])
+    n12, n34 = 2 * nv, len(rhs34)
+    row = np.concatenate([np.repeat(np.arange(n12), q), n12 + row34,
+                          np.repeat(n12 + n34 + np.arange(nx + nmu), 2)])
+    col = np.concatenate([np.arange(2 * nx), col34, np.stack([first, second], 1).ravel()])
+    rhs = np.concatenate([np.full(nv, q - 1 + eps), np.full(nv, 1 + eps), rhs34,
+                          np.ones(nx + nmu)])
+
+    grids = [_assignment_grid(q, len(dv)) for dv in dvs]
+    mu_labels = [(cid, beta) for cid, (betas, _, _) in zip(cids, grids) for beta in betas]
+    labels = [(kind, v, a) for kind in ("x", "xbar") for v in vs for a in range(q)]
+    labels += [("mu",) + lab for lab in mu_labels] + [("mubar",) + lab for lab in mu_labels]
+    tags = [(kind, v) for kind in ("r1", "r2") for v in vs]
+    tags += [(kind, cid, v, a) for cid, dv in zip(cids, dvs) for v in dv for a in range(q)
+             for kind in ("r3", "r4")]
+    tags += [("r5", v, a) for v in vs for a in range(q)] + [("r6",) + lab for lab in mu_labels]
+    # table objectives w * P(beta), the first scope position most significant
+    sat = [c.weight * np.asarray(instance.predicates[c.predicate].truth_table)[
+               grid[:, [dv.index(u) for u in c.scope]] @ q ** np.arange(len(c.scope))[::-1]]
+           for c, dv, (_, grid, _) in zip(cons, dvs, grids)]
+    reward = np.concatenate([np.full(2 * nx, C), np.concatenate(sat or [np.empty(0)]) + C,
+                             np.full(nmu, C)])
+    return PackingRows(labels, reward, tags, rhs, row, col, np.ones(len(col)))
 
 
 def primal_column_count(instance: CspInstance) -> int:
@@ -159,9 +290,8 @@ def primal_column_count(instance: CspInstance) -> int:
 class PackingProgram:
     """max b^T z  s.t.  A^T z <= c,  z >= 0, every nonzero of A at least 1.
 
-    `A` is laid out with one row per column variable z_i and one column per
-    packing inequality, matching the transposed constraint convention above;
-    the sparse `row_entries` view (per inequality) is what solvers use.
+    A has one row per column variable z_i and one column per packing
+    inequality; it is kept sparse, as `row_entries` per inequality.
     """
 
     col_labels: list
@@ -170,7 +300,6 @@ class PackingProgram:
     c: np.ndarray                # rhs per inequality
     b: np.ndarray                # objective (all ones here)
     col_scale: np.ndarray        # stage-2 value = z / col_scale
-    row_mult: np.ndarray
     index: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -184,13 +313,6 @@ class PackingProgram:
     @property
     def num_rows(self):
         return len(self.row_tags)
-
-    @property
-    def A(self) -> np.ndarray:
-        out = np.zeros((self.num_cols, self.num_rows))
-        for j, (cols, coefs) in enumerate(self.row_entries):
-            out[cols, j] = coefs
-        return out
 
     # statistics of the restricted form
     @property
@@ -238,9 +360,6 @@ class PackingProgram:
     def scale(self, y: dict) -> dict:
         return {lab: y[lab] * self.col_scale[i] for lab, i in self.index.items() if lab in y}
 
-    def feasible(self, z: np.ndarray, tol: float = 1e-9) -> bool:
-        return self.max_violation(z) <= tol
-
     def max_violation(self, z: np.ndarray) -> float:
         worst = 0.0
         for j, (cols, coefs) in enumerate(self.row_entries):
@@ -259,54 +378,22 @@ class PackingProgram:
 
 
 def normalize_packing(lp3: LinearProgram, params: PipelineParams) -> PackingProgram:
-    """Stage 3: scale columns by reward, rows to coefficient floor one.
-
-    Pair-coupling and objective-bearing rows are multiplied by (w + C), the
-    remaining rows by C; combined with dividing each column by its stage-2
-    objective coefficient this makes every surviving coefficient >= 1 while
-    the objective becomes the plain sum of the scaled columns.
-    """
-    C = params.C
-    col_scale = np.asarray(lp3.objective, dtype=float)  # reward == scale
-    entries = []
-    tags = []
-    rhs = []
-    mults = []
-    for row in lp3.rows:
-        kind = row.tag[0]
-        # rows carrying objective-bearing table columns are boosted by w + C
-        mult = C if kind in ("r1", "r2", "r4", "r5") else params.w + C
-        coefs = row.coefs * mult / col_scale[row.cols]
-        entries.append((row.cols.copy(), coefs))
-        tags.append(row.tag)
-        rhs.append(row.rhs * mult)
-        mults.append(mult)
-    return PackingProgram(
-        col_labels=list(lp3.labels),
-        row_tags=tags,
-        row_entries=entries,
-        c=np.asarray(rhs, dtype=float),
-        b=np.ones(len(lp3.labels)),
-        col_scale=col_scale,
-        row_mult=np.asarray(mults, dtype=float),
-    )
+    """Stage 3 of a stage-2 program: the `PackingRows.restricted` scaling."""
+    return PackingRows.of(lp3).program(params)
 
 
 def exact_packing_optimum(instance: CspInstance, params: PipelineParams) -> float:
     """Optimum of the restricted packing program, solved per component."""
     total = 0.0
     for vs, cids in connected_components(instance):
-        sub = subinstance(instance, vs, cids)
-        pp = normalize_packing(to_packing(sub, params), params)
-        value, _ = pp.solve_exact()
+        value, _ = packing_rows(instance, params, vs, cids).program(params).solve_exact()
         total += value
     return total
 
 
 # --- the restore-and-repair step ----------------------------------------------
 
-def check_lp3_feasible(instance: CspInstance, lp3: LinearProgram, z: dict,
-                       tol: float = 1e-7) -> float:
+def check_lp3_feasible(lp3: LinearProgram, z: dict, tol: float = 1e-7) -> float:
     worst = 0.0
     for lab in lp3.labels:
         val = z.get(lab, 0.0)
@@ -320,57 +407,59 @@ def check_lp3_feasible(instance: CspInstance, lp3: LinearProgram, z: dict,
     return worst
 
 
+def repair_blocks(z, instance: CspInstance, eps_reset: float, variables, constraint_ids):
+    """The block-reset rule on stage-2 values, read through `z(label)`.
+
+    A variable whose pair sum x + xbar falls at least eps_reset below one
+    at some value is reset to the uniform marginal; any other variable gets
+    the marginal 1 - x, clipped at zero.  A listed constraint touching a
+    reset variable gets the product of the (normalized) marginals of its
+    distinct variables as its table, a genuine distribution; the others
+    keep their mu values, clipped at zero.  Only the entries these need are
+    read.  Returns ({v: marginal}, {cid: table}, reset variables).
+    """
+    q = instance.q
+    marginals, reset = {}, set()
+    for v in variables:
+        xs = [z(("x", v, a)) for a in range(q)]
+        if any(1.0 - x - z(("xbar", v, a)) >= eps_reset for a, x in enumerate(xs)):
+            reset.add(v)
+            marginals[v] = np.full(q, 1.0 / q)
+        else:
+            marginals[v] = np.clip(1.0 - np.array(xs), 0.0, None)
+    tables = {}
+    for cid in constraint_ids:
+        c = instance.constraints[cid]
+        dv = c.distinct_vars()
+        if reset.intersection(dv):
+            factors = [marginals[v] / marginals[v].sum() for v in dv]
+            table = [float(np.prod([f[b] for f, b in zip(factors, beta)]))
+                     for beta in mu_assignments(instance, c)]
+        else:
+            table = [z(("mu", cid, beta)) for beta in mu_assignments(instance, c)]
+        tables[cid] = np.clip(np.array(table, dtype=float), 0.0, None)
+    return marginals, tables, reset
+
+
 def restore_and_repair(instance: CspInstance, z: dict, params: PipelineParams,
                        lp3: LinearProgram | None = None):
     """Map a feasible stage-2 vector to basic coordinates and patch drifted blocks.
 
-    Columns whose pair sum z + zbar falls at least eps_reset below one mark
-    their variable block; marked blocks are reset to the uniform marginal and
-    every local table touching a reset block is replaced by the product of
-    the current variable marginals.  Returns (LpSolution, report).
+    `repair_blocks` over the whole instance: blocks whose pair sums drift are
+    reset to the uniform marginal and every local table touching one is
+    rebuilt as a product distribution.  Returns (LpSolution, report).
     """
     lp3 = lp3 or to_packing(instance, params)
-    check_lp3_feasible(instance, lp3, z)
+    check_lp3_feasible(lp3, z)
     q, n = instance.q, instance.n
     eps2 = params.eps_reset
-
-    reset_vars = set()
-    for v in range(n):
-        for a in range(q):
-            gap = 1.0 - z.get(("x", v, a), 0.0) - z.get(("xbar", v, a), 0.0)
-            if gap >= eps2:
-                reset_vars.add(v)
-                break
-
-    x = np.empty((n, q))
-    for v in range(n):
-        if v in reset_vars:
-            x[v] = 1.0 / q
-        else:
-            for a in range(q):
-                x[v, a] = 1.0 - z.get(("x", v, a), 0.0)
-    x = np.clip(x, 0.0, None)
-
-    mu: dict[int, np.ndarray] = {}
-    reset_tables = []
-    for cid, c in enumerate(instance.constraints):
-        dv = c.distinct_vars()
-        if any(v in reset_vars for v in dv):
-            # product of the (normalized) current marginals: a genuine
-            # distribution, so the rebuilt table sums to one exactly
-            factors = {v: x[v] / x[v].sum() for v in dv}
-            table = np.array([
-                float(np.prod([factors[v][b] for v, b in zip(dv, beta)]))
-                for beta in mu_assignments(instance, c)
-            ])
-            reset_tables.append(cid)
-        else:
-            table = np.array([z.get(("mu", cid, beta), 0.0)
-                              for beta in mu_assignments(instance, c)])
-        mu[cid] = np.clip(table, 0.0, None)
+    marginals, mu, reset_vars = repair_blocks(lambda lab: z.get(lab, 0.0), instance, eps2,
+                                              range(n), range(len(instance.constraints)))
+    x = np.array([marginals[v] for v in range(n)]).reshape(n, q)
+    reset_tables = [cid for cid, c in enumerate(instance.constraints)
+                    if reset_vars.intersection(c.distinct_vars())]
 
     sol = LpSolution(x, mu, value_of(instance, x, mu))
-    from .lp import infeasibility
     measured = infeasibility(instance, sol)
     s = instance.s
     bound = max(

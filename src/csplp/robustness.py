@@ -18,7 +18,7 @@ import numpy as np
 
 from .csp import CspInstance
 from .errors import NotADistribution, ZeroRow
-from .lp import LpSolution, mu_assignments, value_of
+from .lp import LpSolution, value_of
 
 
 @dataclass(frozen=True)

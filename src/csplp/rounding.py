@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,34 +47,28 @@ def _check_grid(eps: float):
         raise ValueError(f"1/eps must be an integer; got eps={eps}")
 
 
-def discretize(x: float, eps: float) -> float:
-    """Round x up to the grid eps*Z: 0 stays 0, otherwise the smallest
-    multiple (k+1)*eps with k*eps < x <= (k+1)*eps.  Monotone, idempotent on
-    its own image, and x <= x^eps < x + eps for positive x."""
+def grid_coords(x, eps: float) -> np.ndarray:
+    """The grid rule: integer coordinates k of x rounded up to k*eps.
+
+    Nonpositive entries map to 0, others to the smallest k with
+    (k-1)*eps < x <= k*eps.  Monotone, idempotent on its own image, and
+    x <= k*eps < x + eps for positive x.
+    """
     _check_grid(eps)
+    x = np.asarray(x, dtype=float)
+    # the 1e-9 nudge keeps exact grid points in place under float division
+    return np.where(x <= 0.0, 0, np.ceil(x / eps - 1e-9)).astype(np.int64)
+
+
+def discretize(x: float, eps: float) -> float:
+    """One marginal entry rounded up to the grid eps*Z."""
     if x < -1e-12:
         raise ValueError("marginals must be nonnegative")
-    if x <= 0.0:
-        return 0.0
-    # the 1e-9 nudge keeps exact grid points in place under float division
-    return math.ceil(x / eps - 1e-9) * eps
-
-
-def bucket_key(row, eps: float) -> tuple[int, ...]:
-    """Integer grid coordinates of a discretized marginal vector."""
-    out = []
-    for x in row:
-        if x <= 0.0:
-            out.append(0)
-        else:
-            out.append(int(math.ceil(x / eps - 1e-9)))
-    return tuple(out)
+    return float(grid_coords(x, eps) * eps)
 
 
 def discretize_marginals(x: np.ndarray, eps: float) -> np.ndarray:
-    _check_grid(eps)
-    out = np.ceil(np.asarray(x, dtype=float) / eps - 1e-9) * eps
-    return np.where(np.asarray(x) <= 0.0, 0.0, out)
+    return grid_coords(x, eps) * eps
 
 
 @dataclass
@@ -91,9 +85,6 @@ class FoldingMap:
 
     def bucket_of(self, v: int) -> int:
         return self.buckets[self.keys[v]]
-
-    def key_value(self, key) -> tuple[float, ...]:
-        return tuple(k * self.eps for k in key)
 
     def draw(self, v: int, seed: int) -> int:
         """Value of v drawn from its bucket's normalized discretized marginal.
@@ -117,8 +108,7 @@ def fold_map(x: np.ndarray, eps: float) -> FoldingMap:
     Bucket ids are dense, assigned in first-occurrence order over variable
     ids, so the map is deterministic.
     """
-    _check_grid(eps)
-    keys = [bucket_key(row, eps) for row in np.asarray(x, dtype=float)]
+    keys = [tuple(row) for row in grid_coords(x, eps).tolist()]
     buckets: dict[tuple[int, ...], int] = {}
     for key in keys:
         if key not in buckets:

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -44,6 +45,20 @@ def test_local_lp_query(tri_path):
     name, value, cost = lines[2].split(",")
     assert 0.0 <= float(value) <= 1.0
     assert int(cost) > 0
+
+
+def test_local_lp_assemble_names_round_trip(tri_path):
+    out = run_cli("local-lp", "--instance", tri_path, "--assemble")
+    assert out.returncode == 0
+    rows = list(csv.reader(out.stdout.splitlines()[1:]))
+    assert rows[0] == ["name", "value", "query_cost"]
+    assert all(len(row) == 3 for row in rows)
+    mu_rows = [row for row in rows[1:] if row[0].startswith("mu:")]
+    assert len(mu_rows) == 12
+    for name, value, cost in mu_rows:
+        single = run_cli("local-lp", "--instance", tri_path, "--query", name)
+        assert single.returncode == 0
+        assert list(csv.reader(single.stdout.splitlines()[2:])) == [[name, value, cost]]
 
 
 def test_round_csv_and_determinism(tri_path, tmp_path):

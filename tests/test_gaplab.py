@@ -1,3 +1,4 @@
+import zlib
 from collections import Counter
 
 import numpy as np
@@ -221,7 +222,7 @@ class TestProcess:
             return tuple(sorted(c.scope for c in inst.constraints))
 
         for branch in ("opt", "lp"):
-            rng = np.random.default_rng(hash(branch) % 2 ** 31)
+            rng = np.random.default_rng(zlib.crc32(branch.encode()))
             gen_counts, proc_counts = Counter(), Counter()
             for _ in range(runs):
                 seed = int(rng.integers(0, 2 ** 62))

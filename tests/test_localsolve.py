@@ -18,6 +18,7 @@ from csplp.pipeline import (
     PipelineParams,
     exact_packing_optimum,
     normalize_packing,
+    restore_and_repair,
     to_packing,
 )
 
@@ -176,6 +177,29 @@ class TestLocality:
         va = lo_a.packing_value(("mu", 5, (0, 1)))
         vb = lo_b.packing_value(("mu", 5, (0, 1)))
         assert va != vb  # the flipped predicate sits inside this ball
+
+
+class TestLocalEqualsGlobal:
+    def test_local_answers_equal_one_global_run(self):
+        # one builder and one reset rule: every per-query answer is exactly
+        # the entry of a single run over the whole program
+        insts = corpus.local_corpus(12, seed=7)[:6]
+        insts += [corpus.component_union(5, pieces=6), corpus.triangle(), corpus.single()]
+        for inst in insts:
+            pp = PipelineParams.for_instance(inst, 0.2)
+            lo = LpOracle(ConstraintOracle(inst), pp)
+            ref = normalize_packing(to_packing(inst, pp), pp)
+            dyn = PackingDynamics(ref.col_labels, [c for c, _ in ref.row_entries],
+                                  [k for _, k in ref.row_entries], ref.c)
+            z = dyn.rescale_feasible(dyn.ascend(dyn.initial_point(lo.gamma_d_bound),
+                                                lo.rounds, lo.solver.eta))
+            assert assemble_packing_vector(lo, inst) == dict(zip(ref.col_labels, z))
+            stage2 = {lab: z[i] / ref.col_scale[i] for i, lab in enumerate(ref.col_labels)}
+            want, _ = restore_and_repair(inst, stage2, pp)
+            got = assemble_global(lo, inst)
+            assert (got.x == want.x).all()
+            assert got.mu.keys() == want.mu.keys()
+            assert all((got.mu[cid] == want.mu[cid]).all() for cid in want.mu)
 
 
 class TestCorpusQuality:

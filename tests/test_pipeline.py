@@ -98,7 +98,6 @@ class TestNormalize:
             c=np.array([1.0, 1.0]),
             b=np.ones(2),
             col_scale=np.ones(2),
-            row_mult=np.ones(2),
         )
         assert pp.gamma_d == 3.0
 
