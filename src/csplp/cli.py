@@ -119,6 +119,12 @@ def _parse_column(text):
     raise ValueError(f"cannot parse column name {text!r}; use x:v:a or mu:cid:b1,b2")
 
 
+def _column_text(name):
+    """The --query form of a column name: x:v:a or mu:cid:b1,b2."""
+    kind, i, a = name
+    return f"{kind}:{i}:" + (",".join(map(str, a)) if kind == "mu" else str(a))
+
+
 def cmd_local_lp(args):
     inst = load_instance(args.instance)
     oracle, _ = _lp_oracle(inst, args.epsilon, args.rounds_cap)
@@ -128,16 +134,11 @@ def cmd_local_lp(args):
         value = oracle.query(name)
         rows.append((args.query, value, oracle.last_query_cost))
     elif args.assemble:
-        # names in the --query form x:v:a and mu:cid:b1,b2
-        for v in range(inst.n):
-            for a in range(inst.q):
-                val = oracle.query(("x", v, a))
-                rows.append((f"x:{v}:{a}", val, oracle.last_query_cost))
-        for cid, c in enumerate(inst.constraints):
-            for beta in mu_assignments(inst, c):
-                val = oracle.query(("mu", cid, beta))
-                rows.append((f"mu:{cid}:" + ",".join(map(str, beta)), val,
-                             oracle.last_query_cost))
+        names = [("x", v, a) for v in range(inst.n) for a in range(inst.q)]
+        names += [("mu", cid, beta) for cid, c in enumerate(inst.constraints)
+                  for beta in mu_assignments(inst, c)]
+        values, costs = oracle.query_many(names)
+        rows = [(_column_text(name), val, cost) for name, val, cost in zip(names, values, costs)]
     else:
         raise ValueError("local-lp needs --query or --assemble")
     _write_csv(args.csv, "local-lp", "none", ("name", "value", "query_cost"), rows)

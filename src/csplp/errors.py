@@ -47,6 +47,10 @@ class SizeLimit(CsplpError):
     pass
 
 
+class IterationLimit(CsplpError):
+    pass
+
+
 class NegativeEntry(CsplpError):
     pass
 

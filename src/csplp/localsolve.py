@@ -211,12 +211,15 @@ class BallProgram(PackingDynamics):
 class LpOracle:
     """Constant-radius access to a near-optimal solution of the basic relaxation.
 
-    Each query explores a fresh ball (the oracle is stateless across queries
-    apart from the underlying query counter), runs the two-phase dynamics,
-    undoes the packing scalings and applies the block-reset repair.  Output
-    values are in basic coordinates: marginals of unreset blocks are
-    1 - x_stage2, reset blocks are uniform, and tables touching a reset block
-    become product distributions.
+    Each query explores its own ball, runs the two-phase dynamics, undoes the
+    packing scalings and applies the block-reset repair.  The oracle keeps no
+    state across calls apart from the underlying query counter.  Within one
+    `query_many` call, a name whose ball equals the previous name's reuses
+    that ball's solved program; the ball is still explored, so every name
+    is counted at its full query cost.  Output values are in basic
+    coordinates: marginals of unreset blocks are 1 - x_stage2, reset blocks
+    are uniform, and tables touching a reset block become product
+    distributions.
     """
 
     def __init__(self, oracle: ConstraintOracle, pipeline: PipelineParams,
@@ -249,26 +252,46 @@ class LpOracle:
     # -- repaired basic-coordinate access --
 
     def query(self, name) -> float:
-        before = self.oracle.query_count
-        value = self._query_inner(name)
-        self.last_query_cost = self.oracle.query_count - before
-        return value
+        values, costs = self.query_many([name])
+        self.last_query_cost = costs[0]
+        return values[0]
 
-    def _query_inner(self, name) -> float:
-        kind = name[0]
-        if kind not in ("x", "mu"):
-            raise ValueError(f"unknown oracle name {name}")
+    def query_many(self, names) -> tuple[list[float], list[int]]:
+        """Repaired values of `names`, in order, and each name's query cost.
+
+        Each name explores its own ball, so values and costs are exactly
+        those of `query` called once per name.  Consecutive names whose
+        balls hold the same variables and constraints build the same program,
+        so the last ball's program and phase-2 vector are kept and reused;
+        the memo ends with the call.
+        """
         inst = self.oracle.instance
-        view = build_ball(self.oracle, name, self.rounds + (1 if kind == "x" else 2))
-        prog = BallProgram(view, inst, self.pipeline)
-        z2 = self._solve(prog)
+        values, costs = [], []
+        key = prog = z2 = None
+        for name in names:
+            kind = name[0]
+            if kind not in ("x", "mu"):
+                raise ValueError(f"unknown oracle name {name}")
+            before = self.oracle.query_count
+            view = build_ball(self.oracle, name, self.rounds + (1 if kind == "x" else 2))
+            ball_key = (sorted(view.known_vars), sorted(view.constraints))
+            if ball_key != key:
+                key = ball_key
+                prog = BallProgram(view, inst, self.pipeline)
+                z2 = self._solve(prog)
+            values.append(self._repaired(name, view, prog, z2))
+            costs.append(self.oracle.query_count - before)
+        return values, costs
+
+    def _repaired(self, name, view, prog: BallProgram, z2: np.ndarray) -> float:
+        inst = self.oracle.instance
 
         def stage2(label):
             i = prog.index[label]
             return z2[i] / prog.col_scale[i]
 
         eps_reset = self.pipeline.eps_reset
-        if kind == "x":
+        if name[0] == "x":
             _, v, a = name
             marginals, _, _ = repair_blocks(stage2, inst, eps_reset, [v], [])
             return float(marginals[v][a])

@@ -230,6 +230,9 @@ class SolutionLpOracle:
             return float(self.sol.mu[cid][self._flat_index[(cid, beta)]])
         raise ValueError(f"unknown column name {name}")
 
+    def query_many(self, names) -> tuple[list[float], list[int]]:
+        return [self.query(name) for name in names], [1] * len(names)
+
 
 # --- JSON -------------------------------------------------------------------
 

@@ -256,6 +256,9 @@ def round_assignment(oracle: ConstraintOracle, lp_oracle, epsilon: float, seed: 
     succeeds with probability at least 2/3.  When the total weight is
     below epsilon * n any answer is within the additive slack already; we
     return a flagged zero-estimate result.
+
+    The n*q marginals are read through one `lp_oracle.query_many` call, so
+    names that share a ball share its solve while each is still counted.
     """
     inst = oracle.instance
     if inst.total_weight < epsilon * inst.n or inst.n == 0:
@@ -266,10 +269,8 @@ def round_assignment(oracle: ConstraintOracle, lp_oracle, epsilon: float, seed: 
         eps_fold = adjust_epsilon(eps_fold)
 
     q = inst.q
-    x = np.empty((inst.n, q))
-    for v in range(inst.n):
-        for a in range(q):
-            x[v, a] = lp_oracle.query(("x", v, a))
+    values, _ = lp_oracle.query_many([("x", v, a) for v in range(inst.n) for a in range(q)])
+    x = np.array(values).reshape(inst.n, q)
     fm = fold_map(x, eps_fold)
 
     shared = shared_buckets(oracle, fm)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import Infeasible, Unbounded
+from .errors import Infeasible, IterationLimit, Unbounded
 
 PIVOT_EPS = 1e-9
 FEAS_EPS = 1e-7
@@ -80,7 +80,7 @@ class _Tableau:
                 last_value = obj[-1]
             else:
                 stall += 1
-        raise RuntimeError("simplex iteration limit exceeded")
+        raise IterationLimit("simplex iteration limit exceeded")
 
 
 def solve(c, A, senses, b, maximize=True, max_iters=None):

@@ -3,7 +3,7 @@ import pytest
 
 from csplp import corpus
 from csplp.csp import ConstraintOracle, Constraint, build_instance, connected_components
-from csplp.lp import infeasibility, solve_basic_lp
+from csplp.lp import infeasibility, mu_assignments, solve_basic_lp
 from csplp.localsolve import (
     BallProgram,
     LocalSolverParams,
@@ -21,6 +21,7 @@ from csplp.pipeline import (
     restore_and_repair,
     to_packing,
 )
+from csplp.rounding import round_assignment
 
 
 def make_oracle(inst, eps=0.2, **solver_kw):
@@ -200,6 +201,47 @@ class TestLocalEqualsGlobal:
             assert (got.x == want.x).all()
             assert got.mu.keys() == want.mu.keys()
             assert all((got.mu[cid] == want.mu[cid]).all() for cid in want.mu)
+
+
+class TestQueryMany:
+    def assert_matches_query(self, inst, names, **solver_kw):
+        lo, _ = make_oracle(inst, **solver_kw)
+        values, costs = lo.query_many(names)
+        fresh, _ = make_oracle(inst, **solver_kw)
+        want = [(fresh.query(name), fresh.last_query_cost) for name in names]
+        assert list(zip(values, costs)) == want
+        assert lo.oracle.query_count == fresh.oracle.query_count
+
+    def test_repeated_balls_match_query(self):
+        for inst in [corpus.triangle(), corpus.horn_satisfiable(3, n=16, m=20),
+                     corpus.component_union(5, pieces=6)]:
+            names = [("x", v, a) for v in range(inst.n) for a in range(inst.q)]
+            names += [("mu", cid, beta) for cid, c in enumerate(inst.constraints)
+                      for beta in mu_assignments(inst, c)]
+            self.assert_matches_query(inst, names)
+
+    def test_distinct_balls_match_query(self):
+        # a 12-cycle at one ascent round: balls differ by anchor, and the names
+        # jump between far-apart anchors and back, so a stale ball is missing
+        # the next name's columns
+        cons = [Constraint(0, (i, (i + 1) % 12), 1.0) for i in range(12)]
+        cycle = build_instance(2, 2, 2, 1.0, 12, [corpus.neq_predicate(2)], cons)
+        names = [("x", 0, 0), ("x", 6, 1), ("mu", 3, (0, 1)), ("x", 1, 0), ("x", 7, 0),
+                 ("mu", 9, (1, 1)), ("x", 0, 0), ("mu", 0, (1, 0)), ("x", 0, 1),
+                 ("x", 6, 0), ("x", 6, 0), ("mu", 6, (0, 0))]
+        self.assert_matches_query(cycle, names, rounds_cap=1)
+
+    def test_rounding_counts_every_marginal_query(self):
+        inst = corpus.horn_satisfiable(3, n=16, m=20)
+        lo, _ = make_oracle(inst)
+        round_assignment(ConstraintOracle(inst), lo, 0.3, 0)
+        fresh, _ = make_oracle(inst)
+        total = 0
+        for v in range(inst.n):
+            for a in range(inst.q):
+                fresh.query(("x", v, a))
+                total += fresh.last_query_cost
+        assert lo.oracle.query_count == total
 
 
 class TestCorpusQuality:

@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import linprog
 
 from csplp import simplex
-from csplp.errors import Infeasible, Unbounded
+from csplp.errors import CsplpError, Infeasible, IterationLimit, Unbounded
 
 
 def test_single_bound():
@@ -54,6 +54,12 @@ def test_degenerate_terminates():
     A = [[1, 0], [1, 0], [1, 0], [0, 1], [1, 1]]
     x, val = simplex.solve([1.0, 1.0], A, ["<="] * 5, [1, 1, 1, 1, 2])
     assert val == pytest.approx(2.0, abs=1e-9)
+
+
+def test_iteration_limit_is_a_package_error():
+    with pytest.raises(IterationLimit) as info:
+        simplex.solve([1, 1, 1], np.eye(3), ["<="] * 3, [1, 2, 3], max_iters=1)
+    assert isinstance(info.value, CsplpError)
 
 
 def test_negative_rhs_normalization():
