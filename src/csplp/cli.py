@@ -239,7 +239,7 @@ def cmd_gap_gen(args):
 def cmd_gap_verify(args):
     inst = load_instance(args.seed_instance)
     lp_value, sol = solve_basic_lp(inst)
-    opt_value, _ = brute_force_opt(inst)
+    opt_value, _ = brute_force_opt(inst, budget=args.budget)
     w = inst.total_weight
     rows = []
     for trial in range(args.trials):

@@ -204,31 +204,48 @@ def evaluate(instance: CspInstance, assignment) -> float:
 
 def _scan_assignments(instance: CspInstance, budget: int, weighted: bool):
     """Enumerate all q^n assignments in lexicographic order (variable 0 most
-    significant, value 0 first) and return (best score, best index)."""
+    significant, value 0 first) and return (best score, best index).
+
+    The scan reads merged terms, not constraints: one float table per
+    distinct ordered scope, in order of first occurrence, holding the sum of
+    weight * truth table over the constraints on that scope (weight 1 when
+    `weighted` is false, so the score counts satisfied constraints).  Each
+    chunk of `_ENUM_CHUNK` assignments decodes the digits of only the
+    variables some term reads, once, into one buffer that every chunk
+    reuses; besides it a chunk holds its score vector and the index and
+    gathered values of one term at a time.
+    """
     n, q = instance.n, instance.q
     total = q ** n if n > 0 else 1
     if total > budget:
         raise BudgetExceeded(f"q^n = {total} exceeds enumeration budget {budget}")
-    pows = np.array([q ** (n - 1 - j) for j in range(n)], dtype=np.int64)
-    tables = [np.asarray(p.truth_table, dtype=np.float64 if weighted else np.int64)
-              for p in instance.predicates]
+    merged: dict[tuple[int, ...], np.ndarray] = {}
+    for c in instance.constraints:
+        table = (c.weight if weighted else 1.0) * np.asarray(
+            instance.predicates[c.predicate].truth_table, dtype=np.float64)
+        if c.scope in merged:
+            merged[c.scope] += table
+        else:
+            merged[c.scope] = table
+    used = sorted({v for scope in merged for v in scope})
+    row_of = {v: i for i, v in enumerate(used)}
+    terms = [(tuple(row_of[v] for v in scope), table) for scope, table in merged.items()]
+    pows = np.array([q ** (n - 1 - v) for v in used], dtype=np.int64)[:, None]
+    buffer = np.empty((len(used), min(total, _ENUM_CHUNK)), dtype=np.int64)
 
     best_score = -1.0
     best_index = 0
     for start in range(0, total, _ENUM_CHUNK):
         stop = min(start + _ENUM_CHUNK, total)
-        m = np.arange(start, stop, dtype=np.int64)
-        if n > 0:
-            vals = (m[:, None] // pows[None, :]) % q
-        else:
-            vals = np.zeros((stop - start, 0), dtype=np.int64)
+        digits = buffer[:, :stop - start]
+        np.floor_divide(np.arange(start, stop, dtype=np.int64), pows, out=digits)
+        np.remainder(digits, q, out=digits)
         score = np.zeros(stop - start, dtype=np.float64)
-        for c in instance.constraints:
-            idx = np.zeros(stop - start, dtype=np.int64)
-            for v in c.scope:
-                idx = idx * q + vals[:, v]
-            sat = tables[c.predicate][idx]
-            score += (c.weight * sat) if weighted else sat
+        for rows, table in terms:
+            idx = digits[rows[0]]
+            for r in rows[1:]:
+                idx = idx * q + digits[r]
+            score += table[idx]
         k = int(np.argmax(score))
         if score[k] > best_score + 1e-12:
             best_score = float(score[k])
@@ -247,12 +264,14 @@ def brute_force_opt(instance: CspInstance, budget: int = DEFAULT_ENUM_BUDGET):
     """Exact optimum by full enumeration.
 
     Returns (opt value, argmax assignment); ties break to the
-    lexicographically smallest assignment for reproducibility.
+    lexicographically smallest assignment for reproducibility.  The argmax
+    comes from the merged-term scan, and the value is `evaluate` of that
+    argmax, the constraint-order sum, so `evaluate(argmax) == opt` holds
+    exactly even where merging reorders a fractional-weight sum.
     """
-    score, index = _scan_assignments(instance, budget, weighted=True)
-    if score < 0:
-        score = 0.0
-    return score, _index_to_assignment(index, instance.n, instance.q)
+    _, index = _scan_assignments(instance, budget, weighted=True)
+    argmax = _index_to_assignment(index, instance.n, instance.q)
+    return evaluate(instance, argmax), argmax
 
 
 def distance_to_satisfiability(instance: CspInstance, budget: int = DEFAULT_ENUM_BUDGET) -> int:
@@ -359,11 +378,62 @@ def instance_to_json(instance: CspInstance) -> dict:
     }
 
 
+def _json_text(value) -> str:
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def json_value(value, kind: str, where: str):
+    """Check that a parsed JSON value is of `kind` and return it.
+
+    Kinds: "int" (a bool is not one), "number" (a finite int or float, not a
+    bool), "list" and "str".  A mismatch raises a one-line ValueError naming
+    the field `where`.
+    """
+    if kind == "int":
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    elif kind == "number":
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and math.isfinite(value))
+    else:
+        ok = isinstance(value, {"list": list, "str": str}[kind])
+    if not ok:
+        raise ValueError(f"{where}: expected {kind}, got {_json_text(value)}")
+    return value
+
+
+def json_field(data, key: str, kind: str, where: str):
+    """`data[key]` of a JSON object, checked by `json_value`."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where}: expected an object, got {_json_text(data)}")
+    if key not in data:
+        raise ValueError(f"{where}: missing key {key!r}")
+    return json_value(data[key], kind, f"{where}.{key}")
+
+
 def instance_from_json(data: dict) -> CspInstance:
-    return build_instance(
-        data["q"], data["s"], data["t"], data["w"], data["n"],
-        data["predicates"], data["constraints"],
-    )
+    """Instance from its JSON form; every field is type-checked first, so a
+    malformed file raises a one-line ValueError instead of reaching the model."""
+    q, s, t, n = (json_field(data, key, "int", "instance") for key in "qstn")
+    w = json_field(data, "w", "number", "instance")
+    preds = []
+    for i, p in enumerate(json_field(data, "predicates", "list", "instance")):
+        where = f"predicates[{i}]"
+        table = json_field(p, "truth_table", "list", where)
+        for e in table:
+            if json_value(e, "int", f"{where}.truth_table") not in (0, 1):
+                raise ValueError(f"{where}.truth_table: entries must be 0 or 1, got {e}")
+        preds.append(Predicate(json_field(p, "name", "str", where),
+                               json_field(p, "arity", "int", where), tuple(table)))
+    cons = []
+    for i, c in enumerate(json_field(data, "constraints", "list", "instance")):
+        where = f"constraints[{i}]"
+        scope = json_field(c, "scope", "list", where)
+        for v in scope:
+            json_value(v, "int", f"{where}.scope")
+        cons.append(Constraint(json_field(c, "predicate", "int", where), tuple(scope),
+                               float(json_field(c, "weight", "number", where))))
+    return build_instance(q, s, t, w, n, preds, cons)
 
 
 def save_instance(instance: CspInstance, path) -> None:

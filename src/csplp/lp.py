@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simplex
-from .csp import Constraint, CspInstance
+from .csp import Constraint, CspInstance, json_field, json_value
 from .errors import NegativeEntry, SizeLimit
 
 DEFAULT_COLUMN_LIMIT = 50_000
@@ -246,9 +246,21 @@ def solution_to_json(sol: LpSolution) -> dict:
 
 
 def solution_from_json(data: dict) -> LpSolution:
-    x = np.asarray(data["x"], dtype=float)
-    mu = {int(e["constraint"]): np.asarray(e["table"], dtype=float) for e in data["mu"]}
-    return LpSolution(x, mu, float(data["value"]))
+    """Solution from its JSON form; every field is type-checked first, so a
+    malformed file raises a one-line ValueError."""
+    value = json_field(data, "value", "number", "solution")
+    rows = json_field(data, "x", "list", "solution")
+    for i, row in enumerate(rows):
+        for e in json_value(row, "list", f"x[{i}]"):
+            json_value(e, "number", f"x[{i}]")
+    mu = {}
+    for i, e in enumerate(json_field(data, "mu", "list", "solution")):
+        cid = json_field(e, "constraint", "int", f"mu[{i}]")
+        table = json_field(e, "table", "list", f"mu[{i}]")
+        for entry in table:
+            json_value(entry, "number", f"mu[{i}].table")
+        mu[cid] = np.asarray(table, dtype=float)
+    return LpSolution(np.asarray(rows, dtype=float), mu, float(value))
 
 
 def save_solution(sol: LpSolution, path) -> None:

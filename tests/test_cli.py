@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from csplp import corpus
-from csplp.csp import save_instance
+from csplp import cli, corpus
+from csplp.csp import instance_to_json, save_instance
 from csplp.lp import save_solution, solve_basic_lp
 
 
@@ -123,6 +123,70 @@ def test_validation_exit_code(tmp_path):
     missing = str(tmp_path / "nope.json")
     out = run_cli("solve-lp", "--instance", missing)
     assert out.returncode == 2
+
+
+def _set(path, value):
+    def edit(data):
+        *keys, last = path
+        for key in keys:
+            data = data[key]
+        data[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set(("constraints", 0, "scope"), [0.0, 1]),
+    _set(("q",), "2"),
+    lambda data: data.pop("t"),
+    _set(("constraints", 0, "scope"), None),
+    _set(("constraints", 0, "scope"), [False, True]),
+    _set(("predicates", 0, "truth_table"), [0.0, 1.0, 1.0, 0.0]),
+], ids=["float-scope", "string-q", "missing-key", "null-scope", "bool-scope",
+        "float-truth-table"])
+def test_malformed_instance_exits_2_with_one_line(tmp_path, edit):
+    data = instance_to_json(corpus.triangle())
+    edit(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    out = run_cli("solve-lp", "--instance", str(path))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda data: data.pop("value"),
+    _set(("x", 1), [0.5]),
+    _set(("x", 0, 0), True),
+    _set(("mu", 0, "table"), "0.5"),
+    _set(("mu", 0, "constraint"), 0.0),
+], ids=["missing-value", "ragged-x", "bool-x", "string-table", "float-constraint"])
+def test_malformed_solution_exits_2_with_one_line(tri_path, tmp_path, edit):
+    _, sol = solve_basic_lp(corpus.triangle())
+    sol_path = tmp_path / "sol.json"
+    save_solution(sol, sol_path)
+    data = json.loads(sol_path.read_text())
+    edit(data)
+    sol_path.write_text(json.dumps(data))
+    out = run_cli("repair", "--instance", tri_path, "--solution", str(sol_path),
+                  "--out", str(tmp_path / "out.json"))
+    assert out.returncode == 2
+    assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: ")
+
+
+def test_gap_verify_passes_budget_to_every_brute_force(tri_path, monkeypatch):
+    budgets = []
+    real = cli.brute_force_opt
+
+    def spy(instance, budget=None):
+        budgets.append(budget)
+        return real(instance, budget=budget)
+
+    monkeypatch.setattr(cli, "brute_force_opt", spy)
+    argv = ["gap", "verify", "--seed-instance", tri_path, "--N", "2", "--T", "2",
+            "--trials", "2", "--budget", "4099"]
+    assert cli.main(argv) == 0
+    assert budgets == [4099] * 3
 
 
 def test_budget_exit_code(tmp_path):

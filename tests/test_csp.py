@@ -1,12 +1,17 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from csplp import corpus
 from csplp.csp import (
+    _ENUM_CHUNK,
     Constraint,
     ConstraintOracle,
+    Predicate,
     brute_force_opt,
     build_instance,
     connected_components,
@@ -15,6 +20,8 @@ from csplp.csp import (
     evaluate,
     instance_from_json,
     instance_to_json,
+    load_instance,
+    save_instance,
     subinstance,
     sum_estimator,
 )
@@ -159,6 +166,71 @@ class TestBruteForce:
             assert val == pytest.approx(ref)
 
 
+@st.composite
+def merged_term_instances(draw):
+    """Small instances whose scopes repeat variables, repeat (predicate,
+    scope) pairs and hold two predicates on one scope, with integer or
+    fractional weights."""
+    q = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 7))
+    arities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    preds = [Predicate(f"p{i}", k, tuple(draw(st.lists(
+                 st.integers(0, 1), min_size=q ** k, max_size=q ** k))))
+             for i, k in enumerate(arities)]
+    weight = st.integers(1, 3).map(float) if draw(st.booleans()) else st.floats(1.0, 3.0)
+    cons = []
+    for _ in range(draw(st.integers(0, 6))):
+        pid = draw(st.integers(0, len(preds) - 1))
+        scope = draw(st.lists(st.integers(0, n - 1), min_size=arities[pid],
+                              max_size=arities[pid]))
+        cons.append(Constraint(pid, tuple(scope), draw(weight)))
+    for _ in range(draw(st.integers(0, 3)) if cons else 0):
+        c = draw(st.sampled_from(cons))
+        same_arity = [pid for pid, k in enumerate(arities) if k == len(c.scope)]
+        cons.append(Constraint(draw(st.sampled_from(same_arity)), c.scope, draw(weight)))
+    degree = [sum(v in c.scope for c in cons) for v in range(n)]
+    return build_instance(q, 3, max(1, *degree), 3.0, n, preds, cons)
+
+
+def _fractional_shared_scopes():
+    neq, eq, is1 = corpus.neq_predicate(2), corpus.eq_predicate(2), corpus.unary_is(2, 1)
+    cons = [Constraint(0, (0, 1), 1.3), Constraint(0, (0, 1), 2.7), Constraint(1, (0, 1), 1.1),
+            Constraint(0, (2, 2), 1.5), Constraint(2, (2,), 1.25), Constraint(1, (1, 2), 2.2)]
+    return build_instance(2, 2, 5, 3.0, 3, [neq, eq, is1], cons)
+
+
+class TestScanCrossCheck:
+    """The merged-term scan against exhaustive `itertools.product` + `evaluate`."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @example(inst=_fractional_shared_scopes())
+    @given(inst=merged_term_instances())
+    def test_matches_exhaustive_enumeration(self, inst):
+        assignments = list(itertools.product(range(inst.q), repeat=inst.n))
+        values = [evaluate(inst, a) for a in assignments]
+        counts = [sum(inst.constraint_value(cid, a) for cid in range(len(inst.constraints)))
+                  for a in assignments]
+        val, beta = brute_force_opt(inst)
+        assert val == evaluate(inst, beta)
+        assert abs(val - max(values)) <= 1e-9 * inst.total_weight
+        if all(c.weight.is_integer() for c in inst.constraints):
+            assert beta == assignments[values.index(max(values))]
+        assert distance_to_satisfiability(inst) == len(inst.constraints) - max(counts)
+
+    def test_unique_optimum_in_last_chunk(self):
+        target = (1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1, 0, 1)
+        n = len(target)
+        assert int("".join(map(str, target)), 2) >= 2 ** n - _ENUM_CHUNK
+        preds = [corpus.unary_is(2, 0), corpus.unary_is(2, 1),
+                 corpus.neq_predicate(2), corpus.eq_predicate(2)]
+        cons = [Constraint(target[v], (v,), 1.0) for v in range(n)]
+        cons += [Constraint(3 if target[v] == target[v + 1] else 2, (v, v + 1), 1.0)
+                 for v in range(n - 1)]
+        inst = build_instance(2, 2, 3, 1.0, n, preds, cons)
+        assert brute_force_opt(inst) == (2.0 * n - 1, target)
+        assert distance_to_satisfiability(inst) == 0
+
+
 class TestDistance:
     def test_triangle(self, tri):
         assert distance_to_satisfiability(tri) == 1
@@ -229,6 +301,19 @@ class TestJson:
         data = instance_to_json(tri)
         back = instance_from_json(data)
         assert back == tri
+
+    def test_corpus_round_trips_through_files(self, tmp_path):
+        instances = [
+            corpus.triangle(), corpus.single(), corpus.horn_far(8), corpus.horn_chain(),
+            corpus.contradictory_pair(), corpus.horn_satisfiable(3, n=16, m=20),
+            corpus.random_instance(1, q=3, s=3, n=7, m=6, w=2.5, weights_vary=True),
+            corpus.component_union(5, pieces=6),
+            *corpus.brute_corpus(), *corpus.pipeline_corpus(), *corpus.local_corpus(),
+        ]
+        path = tmp_path / "instance.json"
+        for inst in instances:
+            save_instance(inst, path)
+            assert load_instance(path) == inst
 
     def test_validates_on_load(self, tri):
         data = instance_to_json(tri)
