@@ -19,7 +19,7 @@ from .csp import ConstraintOracle, brute_force_opt, evaluate, load_instance, sav
 from .errors import BudgetExceeded, CsplpError, FoldTooLarge, SizeLimit
 from .gaplab import GapParams, collision_experiment, gen_lp_instance, gen_opt_instance
 from .localsolve import LocalSolverParams, LpOracle
-from .lp import load_solution, mu_assignments, save_solution, solve_basic_lp
+from .lp import check_fits, load_solution, mu_assignments, save_solution, solve_basic_lp
 from .pipeline import PipelineParams, normalize_packing, relax_basic_lp, to_packing
 from .robustness import repair_to_feasible
 from .rounding import TESTER_DELTA_PRESETS, round_assignment, test_satisfiability
@@ -212,6 +212,7 @@ def cmd_test_sat(args):
 def cmd_repair(args):
     inst = load_instance(args.instance)
     sol = load_solution(args.solution)
+    check_fits(inst, sol)
     repaired, report = repair_to_feasible(inst, sol)
     save_solution(repaired, args.out)
     print(json.dumps({

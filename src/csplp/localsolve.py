@@ -37,7 +37,7 @@ import numpy as np
 
 from .csp import ConstraintOracle, CspInstance
 from .lp import LpSolution, mu_assignments, value_of
-from .pipeline import PipelineParams, flatten_rows, packing_rows, repair_blocks, split_rows
+from .pipeline import PackingProgram, PipelineParams, flatten_rows, packing_rows, repair_blocks
 
 
 @dataclass(frozen=True)
@@ -140,54 +140,32 @@ def _anchor_vars(oracle, center, view) -> set[int]:
 
 # --- packing data inside a ball ----------------------------------------------
 
-class PackingDynamics:
-    """The two-phase rule on an explicit packing program (rows as COO arrays)."""
+class PackingDynamics(PackingProgram):
+    """The two-phase rule on a restricted packing program."""
 
     def __init__(self, labels, row_cols, row_coefs, rhs):
-        self._load(labels, *flatten_rows(row_cols, row_coefs), rhs)
-
-    def _load(self, labels, flat_rows, flat_cols, flat_coefs, rhs):
-        """Entries as flat (row, col, coef) arrays, sorted by row."""
-        self.labels = list(labels)
-        self.index = {lab: i for i, lab in enumerate(self.labels)}
-        self.rhs = np.asarray(rhs, dtype=np.float64)
-        self.flat_rows = flat_rows
-        self.flat_cols = flat_cols
-        self.flat_coefs = flat_coefs
-
-    @property
-    def row_cols(self) -> list:
-        return split_rows(self.flat_cols, self.flat_rows, len(self.rhs))
-
-    @property
-    def row_coefs(self) -> list:
-        return split_rows(self.flat_coefs, self.flat_rows, len(self.rhs))
+        super().__init__(list(labels), [None] * len(rhs), *flatten_rows(row_cols, row_coefs),
+                         np.asarray(rhs, dtype=np.float64), np.ones(len(labels)))
 
     def initial_point(self, gamma_d: float) -> np.ndarray:
-        z0 = np.full(len(self.labels), np.inf)
-        ratios = self.rhs[self.flat_rows] / (self.flat_coefs * gamma_d)
-        np.minimum.at(z0, self.flat_cols, ratios)
+        z0 = np.full(self.num_cols, np.inf)
+        np.minimum.at(z0, self.col, self.c[self.row] / (self.coef * gamma_d))
         return z0
-
-    def loads(self, z: np.ndarray) -> np.ndarray:
-        return np.bincount(self.flat_rows, weights=self.flat_coefs * z[self.flat_cols],
-                           minlength=len(self.rhs))
 
     def ascend(self, z: np.ndarray, rounds: int, eta: float) -> np.ndarray:
         z = z.copy()
         for _ in range(rounds):
-            slack = (self.rhs - self.loads(z)) / self.rhs
-            worst = np.full(len(self.labels), np.inf)
-            np.minimum.at(worst, self.flat_cols, slack[self.flat_rows])
+            slack = (self.c - self.loads(z)) / self.c
+            worst = np.full_like(z, np.inf)
+            np.minimum.at(worst, self.col, slack[self.row])
             z *= np.clip(1.0 + eta * worst, 1.0, 1.0 + eta)
         return z
 
     def rescale_feasible(self, z: np.ndarray) -> np.ndarray:
         """Phase-2 column scaling against the phase-1 loads."""
-        loads = self.loads(z)
-        caps = np.minimum(1.0, self.rhs / loads)
-        factor = np.ones(len(self.labels))
-        np.minimum.at(factor, self.flat_cols, caps[self.flat_rows])
+        caps = np.minimum(1.0, self.c / self.loads(z))
+        factor = np.ones(self.num_cols)
+        np.minimum.at(factor, self.col, caps[self.row])
         return z * factor
 
 
@@ -201,9 +179,12 @@ class BallProgram(PackingDynamics):
 
     def __init__(self, view: CommGraphView, inst: CspInstance, pp: PipelineParams):
         rows = packing_rows(inst, pp, sorted(view.known_vars), sorted(view.constraints))
-        coefs, rhs = rows.restricted(pp)
-        self._load(rows.labels, rows.row, rows.col, coefs, rhs)
-        self.col_scale = rows.reward             # stage-2 value = z / col_scale
+        PackingProgram.__init__(self, rows.labels, rows.tags, rows.row, rows.col,
+                                *rows.restricted(pp), rows.reward)
+
+    @property
+    def labels(self) -> list:
+        return self.col_labels
 
 
 # --- the oracle ----------------------------------------------------------------

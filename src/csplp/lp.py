@@ -78,12 +78,6 @@ class LinearProgram:
             senses.append(row.sense)
         return np.asarray(self.objective), A, senses, b
 
-    def value_of(self, values: dict) -> float:
-        return float(sum(self.objective[self.index[k]] * v for k, v in values.items()))
-
-    def row_activity(self, row: Row, values: dict) -> float:
-        return float(sum(c * values[self.labels[j]] for j, c in zip(row.cols, row.coefs)))
-
 
 def solve_lp(lp: LinearProgram, column_limit: int = DEFAULT_COLUMN_LIMIT):
     """Solve to optimality; returns (value, {label: value}).
@@ -180,6 +174,24 @@ def value_of(instance: CspInstance, x, mu) -> float:
 def solve_basic_lp(instance: CspInstance, column_limit: int = DEFAULT_COLUMN_LIMIT):
     value, cols = solve_lp(build_basic_lp(instance), column_limit)
     return value, LpSolution.from_columns(instance, cols)
+
+
+def check_fits(instance: CspInstance, sol: LpSolution) -> None:
+    """Raise a one-line ValueError unless sol has the shape of a solution of
+    instance: x is n by q and there is one table of q^(distinct vars)
+    entries per constraint, keyed 0..m-1."""
+    if sol.x.shape != (instance.n, instance.q):
+        raise ValueError(f"solution x has shape {sol.x.shape}, "
+                         f"the instance needs {(instance.n, instance.q)}")
+    m = len(instance.constraints)
+    if sorted(sol.mu) != list(range(m)):
+        raise ValueError(f"solution has tables for constraints {sorted(sol.mu)}, "
+                         f"the instance has constraints 0..{m - 1}")
+    for cid, c in enumerate(instance.constraints):
+        size = instance.q ** len(c.distinct_vars())
+        if sol.mu[cid].shape != (size,):
+            raise ValueError(f"table of constraint {cid} has shape {sol.mu[cid].shape}, "
+                             f"the instance needs ({size},)")
 
 
 def infeasibility(instance: CspInstance, sol: LpSolution) -> float:

@@ -11,7 +11,11 @@ objective coefficient and rows by fixed multipliers so the objective is
 `packing_rows` is the one builder of the stage-2 rows, over a (variables,
 constraints) subset: the whole instance for `to_packing`, one component for
 `exact_packing_optimum`, one ball for the local oracle.  `PackingRows.restricted`
-is the one stage-3 scaling on top of it.
+is the one stage-3 scaling on top of it, and `PackingProgram` the one stage-3
+form: flat (row, col, coef) arrays from which the statistics, the exact solve
+and the local dynamics (`localsolve.PackingDynamics` subclasses it) are all
+computed.  `check_lp3_feasible` checks a stage-2 vector against the same flat
+rows before scaling.
 
 restore_and_repair walks back: it maps a feasible stage-2 vector to basic
 coordinates through `repair_blocks`, the block-reset rule the local oracle
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +35,7 @@ from . import simplex
 from .csp import CspInstance, connected_components
 from .errors import NotFeasibleForLp3, SizeLimit
 from .lp import (
+    DEFAULT_COLUMN_LIMIT,
     LinearProgram,
     LpSolution,
     Row,
@@ -155,16 +160,13 @@ class PackingRows:
                    [r.tag for r in lp.rows], np.array([r.rhs for r in lp.rows], dtype=float),
                    row, col, coef)
 
-    def split(self, flat) -> list:
-        """Per-row pieces of a per-entry array."""
-        return split_rows(flat, self.row, len(self.rhs))
-
     def linear_program(self) -> LinearProgram:
         lp = LinearProgram()
         for label, reward in zip(self.labels, self.reward.tolist()):
             lp.add_column(label, reward)
-        lp.rows = [Row(cols, coefs, "<=", rhs, tag) for cols, coefs, rhs, tag in
-                   zip(self.split(self.col), self.split(self.coef), self.rhs.tolist(), self.tags)]
+        lp.rows = [Row(cols, coefs, "<=", rhs, tag) for (cols, coefs), rhs, tag in
+                   zip(split_rows(self.row, len(self.rhs), self.col, self.coef),
+                       self.rhs.tolist(), self.tags)]
         return lp
 
     def restricted(self, params: PipelineParams):
@@ -181,15 +183,8 @@ class PackingRows:
         return self.coef * mult[self.row] / self.reward[self.col], self.rhs * mult
 
     def program(self, params: PipelineParams) -> "PackingProgram":
-        coefs, rhs = self.restricted(params)
-        return PackingProgram(
-            col_labels=list(self.labels),
-            row_tags=self.tags,
-            row_entries=list(zip(self.split(self.col), self.split(coefs))),
-            c=rhs,
-            b=np.ones(len(self.labels)),
-            col_scale=self.reward,
-        )
+        return PackingProgram(self.labels, self.tags, self.row, self.col,
+                              *self.restricted(params), self.reward)
 
 
 def flatten_rows(row_cols, row_coefs):
@@ -200,10 +195,10 @@ def flatten_rows(row_cols, row_coefs):
             np.concatenate(list(row_coefs) or [np.empty(0)]))
 
 
-def split_rows(flat, rows, num_rows: int) -> list:
-    """Cut a per-entry array, sorted by row id, into one piece per row."""
+def split_rows(rows, num_rows: int, cols, coefs) -> list:
+    """Per-row (cols, coefs) pieces of per-entry arrays sorted by row id."""
     ends = np.cumsum(np.bincount(rows, minlength=num_rows)).tolist()
-    return [flat[a:b] for a, b in zip([0] + ends, ends)]
+    return [(cols[a:b], coefs[a:b]) for a, b in zip([0] + ends, ends)]
 
 
 def packing_rows(instance: CspInstance, params: PipelineParams, variables=None,
@@ -288,23 +283,22 @@ def primal_column_count(instance: CspInstance) -> int:
 
 @dataclass
 class PackingProgram:
-    """max b^T z  s.t.  A^T z <= c,  z >= 0, every nonzero of A at least 1.
+    """max 1^T z  s.t.  A^T z <= c,  z >= 0, every nonzero of A at least 1.
 
     A has one row per column variable z_i and one column per packing
-    inequality; it is kept sparse, as `row_entries` per inequality.
+    inequality; it is kept sparse, as (row, col, coef) triples sorted by row.
     """
 
     col_labels: list
     row_tags: list
-    row_entries: list            # per inequality: (col indices, coefficients)
+    row: np.ndarray              # inequality per entry
+    col: np.ndarray              # column per entry
+    coef: np.ndarray             # coefficient per entry
     c: np.ndarray                # rhs per inequality
-    b: np.ndarray                # objective (all ones here)
     col_scale: np.ndarray        # stage-2 value = z / col_scale
-    index: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.index:
-            self.index = {lab: i for i, lab in enumerate(self.col_labels)}
+        self.index = {lab: i for i, lab in enumerate(self.col_labels)}
 
     @property
     def num_cols(self):
@@ -312,67 +306,66 @@ class PackingProgram:
 
     @property
     def num_rows(self):
-        return len(self.row_tags)
+        return len(self.c)
+
+    @property
+    def b(self) -> np.ndarray:
+        """The objective, all ones."""
+        return np.ones(self.num_cols)
+
+    @property
+    def row_entries(self) -> list:
+        """Per inequality: (col indices, coefficients)."""
+        return split_rows(self.row, self.num_rows, self.col, self.coef)
 
     # statistics of the restricted form
     @property
     def c_max(self) -> float:
-        return float(self.c.max()) if self.num_rows else 0.0
+        return float(self.c.max(initial=0.0))
 
     @property
     def gamma_d(self) -> float:
         """Max over columns z_i of its total coefficient mass (max row sum of A)."""
-        sums = np.zeros(self.num_cols)
-        for cols, coefs in self.row_entries:
-            sums[cols] += coefs
-        return float(sums.max()) if self.num_cols else 0.0
+        return float(np.bincount(self.col, self.coef, self.num_cols).max(initial=0.0))
 
     @property
     def gamma_p(self) -> float:
-        """Max over inequalities of (c_max / c_j) times its coefficient sum."""
-        cm = self.c_max
-        best = 0.0
-        for j, (cols, coefs) in enumerate(self.row_entries):
-            best = max(best, cm / self.c[j] * float(coefs.sum()))
-        return best
+        """Max over inequalities of (c_max / c_j) times its coefficient sum.
+
+        Rows of one length are summed as the rows of one matrix, which adds
+        in numpy's pairwise order, the order of summing each row on its own.
+        """
+        counts = np.bincount(self.row, minlength=self.num_rows)
+        starts = np.cumsum(counts) - counts
+        sums = np.zeros(self.num_rows)
+        for size in np.unique(counts).tolist():
+            rows = np.flatnonzero(counts == size)
+            sums[rows] = self.coef[starts[rows, None] + np.arange(size)].sum(axis=1)
+        return float((self.c_max / self.c * sums).max(initial=0.0))
 
     @property
     def delta_p(self) -> int:
         """Max number of columns appearing in one inequality."""
-        return max((len(cols) for cols, _ in self.row_entries), default=0)
+        return int(np.bincount(self.row, minlength=self.num_rows).max(initial=0))
 
     @property
     def delta_d(self) -> int:
         """Max number of inequalities where one column appears."""
-        counts = np.zeros(self.num_cols, dtype=int)
-        for cols, _ in self.row_entries:
-            counts[cols] += 1
-        return int(counts.max()) if self.num_cols else 0
+        return int(np.bincount(self.col, minlength=self.num_cols).max(initial=0))
 
-    def min_nonzero_entry(self) -> float:
-        return min((float(coefs.min()) for _, coefs in self.row_entries if len(coefs)),
-                   default=np.inf)
-
-    def unscale(self, z: dict) -> dict:
-        """Map packing coordinates back to stage-2 coordinates exactly."""
-        return {lab: z[lab] / self.col_scale[i] for lab, i in self.index.items() if lab in z}
-
-    def scale(self, y: dict) -> dict:
-        return {lab: y[lab] * self.col_scale[i] for lab, i in self.index.items() if lab in y}
+    def loads(self, z: np.ndarray) -> np.ndarray:
+        """Left-hand side of every inequality at z."""
+        return np.bincount(self.row, self.coef * z[self.col], len(self.c))
 
     def max_violation(self, z: np.ndarray) -> float:
-        worst = 0.0
-        for j, (cols, coefs) in enumerate(self.row_entries):
-            worst = max(worst, float(coefs @ z[cols]) - float(self.c[j]))
-        return worst
+        return float((self.loads(z) - self.c).max(initial=0.0))
 
-    def solve_exact(self, column_limit: int = 50_000):
+    def solve_exact(self):
         """Exact optimum of the packing program via the dense solver."""
-        if self.num_cols > column_limit:
-            raise SizeLimit(f"{self.num_cols} columns > limit {column_limit}")
+        if self.num_cols > DEFAULT_COLUMN_LIMIT:
+            raise SizeLimit(f"{self.num_cols} columns > limit {DEFAULT_COLUMN_LIMIT}")
         A = np.zeros((self.num_rows, self.num_cols))
-        for j, (cols, coefs) in enumerate(self.row_entries):
-            A[j, cols] = coefs
+        A[self.row, self.col] = self.coef
         z, value = simplex.solve(self.b, A, ["<="] * self.num_rows, self.c)
         return value, z
 
@@ -393,15 +386,17 @@ def exact_packing_optimum(instance: CspInstance, params: PipelineParams) -> floa
 
 # --- the restore-and-repair step ----------------------------------------------
 
-def check_lp3_feasible(lp3: LinearProgram, z: dict, tol: float = 1e-7) -> float:
-    worst = 0.0
-    for lab in lp3.labels:
-        val = z.get(lab, 0.0)
-        if val < -tol:
-            raise NotFeasibleForLp3(f"negative column {lab}")
-    for row in lp3.rows:
-        act = sum(c * z.get(lp3.labels[j], 0.0) for j, c in zip(row.cols, row.coefs))
-        worst = max(worst, act - row.rhs)
+def check_lp3_feasible(rows: PackingRows, z: dict, tol: float = 1e-7) -> float:
+    """Largest row excess of the stage-2 vector z (missing labels read 0).
+
+    Raises NotFeasibleForLp3 on a column below -tol or an excess above tol.
+    """
+    vals = np.array([z.get(lab, 0.0) for lab in rows.labels], dtype=float)
+    negative = np.flatnonzero(vals < -tol)
+    if len(negative):
+        raise NotFeasibleForLp3(f"negative column {rows.labels[negative[0]]}")
+    loads = np.bincount(rows.row, rows.coef * vals[rows.col], len(rows.rhs))
+    worst = float((loads - rows.rhs).max(initial=0.0))
     if worst > tol:
         raise NotFeasibleForLp3(f"row violation {worst:.3e}")
     return worst
@@ -447,10 +442,11 @@ def restore_and_repair(instance: CspInstance, z: dict, params: PipelineParams,
 
     `repair_blocks` over the whole instance: blocks whose pair sums drift are
     reset to the uniform marginal and every local table touching one is
-    rebuilt as a product distribution.  Returns (LpSolution, report).
+    rebuilt as a product distribution.  z is first checked against the
+    stage-2 rows, those of `lp3` when it is given.  Returns (LpSolution, report).
     """
-    lp3 = lp3 or to_packing(instance, params)
-    check_lp3_feasible(lp3, z)
+    rows = packing_rows(instance, params) if lp3 is None else PackingRows.of(lp3)
+    check_lp3_feasible(rows, z)
     q, n = instance.q, instance.n
     eps2 = params.eps_reset
     marginals, mu, reset_vars = repair_blocks(lambda lab: z.get(lab, 0.0), instance, eps2,

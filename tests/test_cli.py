@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -172,6 +173,66 @@ def test_malformed_solution_exits_2_with_one_line(tri_path, tmp_path, edit):
                   "--out", str(tmp_path / "out.json"))
     assert out.returncode == 2
     assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: ")
+
+
+def _drop_table(data):
+    data["mu"].pop(1)
+
+
+def _short_table(data):
+    data["mu"][2]["table"].pop()
+
+
+@pytest.mark.parametrize("instance, solution, edit", [
+    ("triangle", "single", None),
+    ("single", "triangle", None),
+    ("triangle", "triangle", _drop_table),
+    ("triangle", "triangle", _short_table),
+], ids=["single-on-triangle", "triangle-on-single", "missing-table", "short-table"])
+def test_repair_rejects_solution_of_another_shape(tmp_path, instance, solution, edit):
+    inst_path = tmp_path / "inst.json"
+    save_instance(getattr(corpus, instance)(), inst_path)
+    _, sol = solve_basic_lp(getattr(corpus, solution)())
+    sol_path = tmp_path / "sol.json"
+    save_solution(sol, sol_path)
+    if edit:
+        data = json.loads(sol_path.read_text())
+        edit(data)
+        sol_path.write_text(json.dumps(data))
+    out = run_cli("repair", "--instance", str(inst_path), "--solution", str(sol_path),
+                  "--out", str(tmp_path / "out.json"))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: ")
+
+
+# sha256 of `pipeline dump` (default epsilon 0.25) as of the flat stage-3 form
+DUMP_SHA256 = {
+    ("triangle", "relaxed"): "a170f7e01bb0a20ff39cd2d0f6f041dfa5f12183362789255854b71fa8a02d2e",
+    ("triangle", "packing"): "eac1a59a96cfb8ec5be04f7718f0cf90e3af8e8133027f0e332d7a5d5d2ff757",
+    ("triangle", "restricted"): "add32d6e2947af950c18f3712aa59fbd8ae3ed2336e5e5bb2d30ea416396cc30",
+    ("random", "relaxed"): "6df7e1cb454cb3edb075f6f25e5e5d330e6a7aaa9563c157937a2f837b2d63f8",
+    ("random", "packing"): "1fcdd8044c6b7a635523c94f9dcdf5556d4ec32e22fe4ab4cfed3eadb7340e2e",
+    ("random", "restricted"): "739bcdeb33c0964fdc67f9bbdf3bed774254102860a82679ffd5c68e34dcd048",
+    ("union", "relaxed"): "fa7f08567b7d3bf25c97592589f0438b8139d0d493760997c9d866c266335454",
+    ("union", "packing"): "7adefb232ba481687c4f363ad02cc0e8c35f68b14e354e7cf1c32cfd7b1b9975",
+    ("union", "restricted"): "66734e4483b626fb1d80ecca8b67f69337aba061820380033d48a7029483159d",
+}
+DUMP_INSTANCES = {
+    "triangle": corpus.triangle,
+    "random": lambda: corpus.random_instance(3, q=3, n=4, m=3),
+    "union": lambda: corpus.component_union(5, pieces=6),
+}
+
+
+@pytest.mark.parametrize("name, stage", sorted(DUMP_SHA256))
+def test_pipeline_dump_golden(tmp_path, name, stage):
+    inst_path = tmp_path / "inst.json"
+    save_instance(DUMP_INSTANCES[name](), inst_path)
+    out_path = tmp_path / "dump.json"
+    assert cli.main(["pipeline", "dump", "--instance", str(inst_path), "--stage", stage,
+                     "--out", str(out_path)]) == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == DUMP_SHA256[name, stage]
 
 
 def test_gap_verify_passes_budget_to_every_brute_force(tri_path, monkeypatch):

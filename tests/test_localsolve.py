@@ -73,7 +73,8 @@ class TestBall:
             view.constraints = dict(enumerate(inst.constraints))
             prog = BallProgram(view, inst, pp)
             ref = normalize_packing(to_packing(inst, pp), pp)
-            got = canon_rows(prog.labels, prog.row_cols, prog.row_coefs, prog.rhs)
+            got = canon_rows(prog.labels, [c for c, _ in prog.row_entries],
+                             [f for _, f in prog.row_entries], prog.c)
             want = canon_rows(ref.col_labels, [c for c, _ in ref.row_entries],
                               [f for _, f in ref.row_entries], ref.c)
             assert got == want

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from csplp import corpus
 from csplp.csp import build_instance, Constraint
@@ -10,6 +13,7 @@ from csplp.pipeline import (
     check_lp3_feasible,
     exact_packing_optimum,
     normalize_packing,
+    packing_rows,
     primal_column_count,
     relax_basic_lp,
     restore_and_repair,
@@ -93,10 +97,10 @@ class TestNormalize:
         pp = PackingProgram(
             col_labels=["a", "b"],
             row_tags=[("t", 0), ("t", 1)],
-            row_entries=[(np.array([0, 1]), np.array([1.0, 0.0])),
-                         (np.array([0, 1]), np.array([2.0, 3.0]))],
+            row=np.array([0, 0, 1, 1]),
+            col=np.array([0, 1, 0, 1]),
+            coef=np.array([1.0, 0.0, 2.0, 3.0]),
             c=np.array([1.0, 1.0]),
-            b=np.ones(2),
             col_scale=np.ones(2),
         )
         assert pp.gamma_d == 3.0
@@ -104,7 +108,7 @@ class TestNormalize:
     def test_single_stats_and_restricted_form(self, single):
         params = params_for(single, 0.25, C=100.0)
         pp = normalize_packing(to_packing(single, params), params)
-        assert pp.min_nonzero_entry() >= 1.0 - 1e-12
+        assert pp.coef.min() >= 1.0 - 1e-12
         # c_max stays within a small multiple of C (w + q^s)
         assert pp.c_max <= 4 * params.C * (single.w + single.q ** single.s)
         assert pp.gamma_p > 0 and pp.gamma_d > 0
@@ -115,15 +119,67 @@ class TestNormalize:
         lp3 = to_packing(single, params)
         v3, cols = solve_lp(lp3)
         pp = normalize_packing(lp3, params)
-        z = pp.scale(cols)
-        back = pp.unscale(z)
-        assert lp3.value_of(back) == pytest.approx(v3, abs=1e-9)
+        y = np.array([cols[lab] for lab in pp.col_labels])
+        z = y * pp.col_scale
+        assert pp.b @ z == pytest.approx(v3, abs=1e-9)
+        assert z / pp.col_scale == pytest.approx(y, rel=1e-15)
 
     def test_exact_packing_matches_direct_solve(self, tri):
         params = params_for(tri)
         pp = normalize_packing(to_packing(tri, params), params)
         direct, _ = pp.solve_exact()
         assert exact_packing_optimum(tri, params) == pytest.approx(direct, rel=1e-9)
+
+
+@st.composite
+def small_programs(draw):
+    """The restricted packing program of a random small instance."""
+    q = draw(st.sampled_from([2, 3]))
+    s = draw(st.integers(1, 3))
+    inst = corpus.random_instance(draw(st.integers(0, 2 ** 31 - 1)), q=q, s=s,
+                                  n=draw(st.integers(max(s, 2), 5)),
+                                  m=draw(st.integers(1, 4)))
+    params = params_for(inst, draw(st.floats(0.1, 0.4)))
+    return packing_rows(inst, params).program(params)
+
+
+class TestFlatProgram:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(prog=small_programs())
+    def test_against_dense_matrix_and_highs(self, prog):
+        A = np.zeros((prog.num_rows, prog.num_cols))
+        for j, (cols, coefs) in enumerate(prog.row_entries):
+            A[j, cols] = coefs
+        res = linprog(-prog.b, A_ub=A, b_ub=prog.c, bounds=(0, None), method="highs")
+        assert res.status == 0
+        value, _ = prog.solve_exact()
+        assert value == pytest.approx(-res.fun, rel=1e-7)
+        assert prog.max_violation(res.x) <= 1e-7
+        over = 2 * res.x
+        assert prog.max_violation(over) == pytest.approx(max(0.0, (A @ over - prog.c).max()),
+                                                         rel=1e-12)
+        assert prog.gamma_d == pytest.approx(A.sum(axis=0).max(), rel=1e-12)
+        assert prog.gamma_p == pytest.approx(
+            (prog.c.max() / prog.c * A.sum(axis=1)).max(), rel=1e-12)
+        assert prog.delta_p == (A != 0).sum(axis=1).max()
+        assert prog.delta_d == (A != 0).sum(axis=0).max()
+
+
+class TestCheckLp3:
+    def test_negative_column_is_named(self, single):
+        rows = packing_rows(single, params_for(single))
+        with pytest.raises(NotFeasibleForLp3, match=r"\('xbar', 3, 1\)"):
+            check_lp3_feasible(rows, {("xbar", 3, 1): -1e-6})
+
+    def test_row_excess_within_tol_passes(self, single):
+        # x + xbar <= 1 for the isolated variable 2; its other rows keep slack
+        rows = packing_rows(single, params_for(single))
+        assert check_lp3_feasible(rows, {("x", 2, 0): 1 + 0.5e-7}) == pytest.approx(0.5e-7)
+
+    def test_row_excess_beyond_tol_raises(self, single):
+        rows = packing_rows(single, params_for(single))
+        with pytest.raises(NotFeasibleForLp3, match="row violation"):
+            check_lp3_feasible(rows, {("x", 2, 0): 1 + 2e-7})
 
 
 class TestRestoreRepair:
