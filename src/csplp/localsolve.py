@@ -184,6 +184,7 @@ class BallProgram(PackingDynamics):
 
     @property
     def labels(self) -> list:
+        """`col_labels` under the name perfbench's ball probe reads."""
         return self.col_labels
 
 
