@@ -83,12 +83,6 @@ class CspInstance:
     def degree(self, v: int) -> int:
         return len(self.degree_index[v])
 
-    def constraint_value(self, cid: int, values_by_var) -> int:
-        """Predicate value of constraint `cid` under a var -> value mapping."""
-        c = self.constraints[cid]
-        vals = [values_by_var[v] for v in c.scope]
-        return self.predicates[c.predicate].value(vals, self.q)
-
 
 def build_instance(q, s, t, w, n, predicates, constraints, degree_index=None) -> CspInstance:
     """Validate and assemble an instance.

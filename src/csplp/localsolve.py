@@ -37,7 +37,7 @@ import numpy as np
 
 from .csp import ConstraintOracle, CspInstance
 from .lp import LpSolution, mu_assignments, value_of
-from .pipeline import PackingProgram, PipelineParams, flatten_rows, packing_rows, repair_blocks
+from .pipeline import PackingProgram, PipelineParams, packing_rows, repair_blocks, restricted
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,9 @@ class PackingDynamics(PackingProgram):
     """The two-phase rule on a restricted packing program."""
 
     def __init__(self, labels, row_cols, row_coefs, rhs):
-        super().__init__(list(labels), [None] * len(rhs), *flatten_rows(row_cols, row_coefs),
+        super().__init__(list(labels), [None] * len(rhs),
+                         np.repeat(np.arange(len(rhs)), [len(cols) for cols in row_cols]),
+                         np.concatenate(row_cols), np.concatenate(row_coefs),
                          np.asarray(rhs, dtype=np.float64), np.ones(len(labels)))
 
     def initial_point(self, gamma_d: float) -> np.ndarray:
@@ -178,9 +180,9 @@ class BallProgram(PackingDynamics):
     """
 
     def __init__(self, view: CommGraphView, inst: CspInstance, pp: PipelineParams):
-        rows = packing_rows(inst, pp, sorted(view.known_vars), sorted(view.constraints))
-        PackingProgram.__init__(self, rows.labels, rows.tags, rows.row, rows.col,
-                                *rows.restricted(pp), rows.reward)
+        lp3 = packing_rows(inst, pp, sorted(view.known_vars), sorted(view.constraints))
+        PackingProgram.__init__(self, lp3.labels, lp3.tags, lp3.row, lp3.col,
+                                *restricted(lp3, pp), lp3.objective)
 
     @property
     def labels(self) -> list:

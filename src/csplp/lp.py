@@ -9,14 +9,20 @@ q-entry table, not q^2).  Column labels are structured tuples:
     ("mu", cid, beta)      local table entry, beta a tuple over distinct vars
     ("xbar", v, a), ("mubar", cid, beta)   complement columns (pipeline only)
 
-Rows carry a tag naming their role; builders downstream reuse the tags.
+Every program has one form, `LinearProgram`: flat (row, col, coef) entries
+sorted by row, with a tag naming each row's role.  `marginal_rows` writes
+the rows "the mu columns that agree with (v, a), and x[v,a]" once; the basic
+LP here and the stage-1 and stage-2 programs of `pipeline` are compositions
+over it, and `table_objective` is the one w * P(beta) rule.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,57 +42,47 @@ class Row:
     tag: tuple = ()
 
 
+@dataclass
 class LinearProgram:
-    """Dense-solvable LP with labelled columns and tagged rows."""
+    """max objective . z  s.t. one (sense, rhs) per row,  z >= 0.
 
-    def __init__(self):
-        self.labels: list[tuple] = []
-        self.index: dict[tuple, int] = {}
-        self.objective: list[float] = []
-        self.rows: list[Row] = []
+    The matrix is kept flat, as (row, col, coef) entries sorted by row.
+    """
 
-    def add_column(self, label, objective=0.0) -> int:
-        if label in self.index:
-            raise ValueError(f"duplicate column {label}")
-        self.index[label] = len(self.labels)
-        self.labels.append(label)
-        self.objective.append(float(objective))
-        return self.index[label]
-
-    def add_row(self, entries, sense, rhs, tag=()):
-        """entries: iterable of (label, coefficient)."""
-        cols, coefs = [], []
-        for label, coef in entries:
-            cols.append(self.index[label])
-            coefs.append(float(coef))
-        self.rows.append(Row(np.asarray(cols, dtype=np.int64),
-                             np.asarray(coefs, dtype=np.float64),
-                             sense, float(rhs), tag))
+    labels: list              # per column
+    objective: np.ndarray
+    tags: list                # per row
+    senses: list              # "<=", "=", ">="
+    rhs: np.ndarray
+    row: np.ndarray           # per entry
+    col: np.ndarray
+    coef: np.ndarray
 
     @property
     def num_cols(self) -> int:
         return len(self.labels)
 
+    @property
+    def rows(self) -> list[Row]:
+        """Per-row view of the entries."""
+        ends = np.cumsum(np.bincount(self.row, minlength=len(self.rhs))).tolist()
+        return [Row(self.col[a:b], self.coef[a:b], *r) for a, b, *r in
+                zip([0] + ends, ends, self.senses, self.rhs.tolist(), self.tags)]
+
     def dense(self):
-        m, n = len(self.rows), self.num_cols
-        A = np.zeros((m, n))
-        b = np.zeros(m)
-        senses = []
-        for i, row in enumerate(self.rows):
-            A[i, row.cols] = row.coefs
-            b[i] = row.rhs
-            senses.append(row.sense)
-        return np.asarray(self.objective), A, senses, b
+        A = np.zeros((len(self.rhs), self.num_cols))
+        A[self.row, self.col] = self.coef
+        return np.array(self.objective, dtype=float), A, list(self.senses), np.array(self.rhs)
 
 
-def solve_lp(lp: LinearProgram, column_limit: int = DEFAULT_COLUMN_LIMIT):
+def solve_lp(lp: LinearProgram):
     """Solve to optimality; returns (value, {label: value}).
 
     Raises SizeLimit / Infeasible / Unbounded.  The optimum is the first
     optimal basic solution under the solver's deterministic pivot rule.
     """
-    if lp.num_cols > column_limit:
-        raise SizeLimit(f"{lp.num_cols} columns > limit {column_limit}")
+    if lp.num_cols > DEFAULT_COLUMN_LIMIT:
+        raise SizeLimit(f"{lp.num_cols} columns > limit {DEFAULT_COLUMN_LIMIT}")
     c, A, senses, b = lp.dense()
     x, value = simplex.solve(c, A, senses, b, maximize=True)
     return value, {label: float(x[j]) for j, label in enumerate(lp.labels)}
@@ -94,17 +90,101 @@ def solve_lp(lp: LinearProgram, column_limit: int = DEFAULT_COLUMN_LIMIT):
 
 # --- the basic relaxation ---------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _assignment_grid(q: int, k: int):
+    """Assignments to k distinct variables in lexicographic order.
+
+    Returns the tuples, their (q^k, k) array, and per (position, value) the
+    ascending indices of the assignments that agree there, shape (k, q, q^(k-1)).
+    Cached and shared, so the arrays are read-only.
+    """
+    betas = tuple(itertools.product(range(q), repeat=k))
+    grid = np.array(betas, dtype=np.int64).reshape(len(betas), k)
+    hits = np.argsort(grid, axis=0, kind="stable").T.reshape(k, q, -1)
+    grid.flags.writeable = hits.flags.writeable = False
+    return betas, grid, hits
+
+
 def mu_assignments(instance: CspInstance, c: Constraint):
     """All assignments to the distinct scope variables, lexicographic order."""
-    dv = c.distinct_vars()
-    return itertools.product(range(instance.q), repeat=len(dv))
+    return _assignment_grid(instance.q, len(c.distinct_vars()))[0]
 
 
-def mu_objective_coef(instance: CspInstance, c: Constraint, beta) -> float:
+@functools.lru_cache(maxsize=None)
+def _truth_index(q: int, pattern: tuple):
+    """Truth-table index of every table entry of a scope whose positions hold
+    the distinct variables `pattern` (the first scope position most significant)."""
+    grid = _assignment_grid(q, max(pattern) + 1)[1]
+    index = grid[:, list(pattern)] @ q ** np.arange(len(pattern))[::-1]
+    index.flags.writeable = False
+    return index
+
+
+def table_objective(instance: CspInstance, c: Constraint) -> np.ndarray:
+    """w * P(beta) per entry of the constraint's table (`mu_assignments` order)."""
     dv = c.distinct_vars()
-    values = dict(zip(dv, beta))
-    vals = [values[v] for v in c.scope]
-    return c.weight * instance.predicates[c.predicate].value(vals, instance.q)
+    index = _truth_index(instance.q, tuple(map(dv.index, c.scope)))
+    return c.weight * np.asarray(instance.predicates[c.predicate].truth_table)[index]
+
+
+class MarginalRows(NamedTuple):
+    """One row per (constraint, distinct variable v, value a): x[v,a] and the
+    mu columns that agree with (v, a).  Columns are the x labels, then the
+    mu labels; entries come sorted by row, the x column first."""
+
+    x_labels: list
+    mu_labels: list
+    mu_objective: np.ndarray    # w * P(beta) per mu column
+    tags: list                  # (cid, v, a) per row
+    mu_count: np.ndarray        # q^(k-1) mu columns per row
+    row: np.ndarray             # per entry
+    col: np.ndarray
+
+
+def marginal_rows(instance: CspInstance, variables=None, constraint_ids=None) -> MarginalRows:
+    """The marginal rows over a (variables, constraints) subset; the whole
+    instance by default.  Every distinct variable of a listed constraint must
+    be listed.  Columns are indexed through per-variable and per-constraint
+    offsets, so the entries come out in one pass per constraint arity.
+    """
+    q = instance.q
+    vs = range(instance.n) if variables is None else list(variables)
+    cids = range(len(instance.constraints)) if constraint_ids is None else list(constraint_ids)
+    cons = [instance.constraints[cid] for cid in cids]
+    dvs = [c.distinct_vars() for c in cons]
+    nx = len(vs) * q
+    ks = np.array([len(dv) for dv in dvs], dtype=np.int64)
+    sizes = q ** ks
+    mu0 = nx + np.cumsum(sizes) - sizes           # first mu column per constraint
+    widths = np.repeat(sizes // q, q * ks)        # per row
+    ents = q * ks * (1 + sizes // q)              # entries per constraint
+    e0 = np.cumsum(ents) - ents
+    col = np.empty(int(ents.sum()), dtype=np.int64)
+    slot = {v: i for i, v in enumerate(vs)}
+    for k in sorted(set(ks.tolist())):
+        _, _, hits = _assignment_grid(q, k)
+        g = np.flatnonzero(ks == k)
+        x = (np.array([[slot[v] for v in dvs[i]] for i in g]).reshape(len(g), k, 1, 1) * q
+             + np.arange(q).reshape(q, 1))
+        cols = np.concatenate([x, mu0[g].reshape(-1, 1, 1, 1) + hits], 3)  # (g, pos, a, entry)
+        col[e0[g].reshape(-1, 1) + np.arange(cols[0].size)] = cols.reshape(len(g), -1)
+    betas = [_assignment_grid(q, len(dv))[0] for dv in dvs]
+    return MarginalRows(
+        [("x", v, a) for v in vs for a in range(q)],
+        [("mu", cid, beta) for cid, bs in zip(cids, betas) for beta in bs],
+        np.concatenate([table_objective(instance, c) for c in cons] or [np.empty(0)]),
+        [(cid, v, a) for cid, dv in zip(cids, dvs) for v in dv for a in range(q)],
+        widths, np.repeat(np.arange(len(widths)), widths + 1), col)
+
+
+def interleaved(row, first, second):
+    """Two copies of every row of the entries (row, col) sorted by row: row r
+    becomes rows 2r, with columns `first`, and 2r+1, with columns `second`."""
+    width = np.bincount(row)
+    at = np.arange(len(row)) + (np.cumsum(width) - width)[row]
+    col = np.empty(2 * len(row), dtype=np.int64)
+    col[at], col[at + width[row]] = first, second
+    return np.repeat(np.arange(2 * len(width)), np.repeat(width, 2)), col
 
 
 def build_basic_lp(instance: CspInstance) -> LinearProgram:
@@ -116,26 +196,16 @@ def build_basic_lp(instance: CspInstance) -> LinearProgram:
                                             for every (P, v in scope, a)
          all columns >= 0
     """
-    q = instance.q
-    lp = LinearProgram()
-    for v in range(instance.n):
-        for a in range(q):
-            lp.add_column(("x", v, a))
-    for cid, c in enumerate(instance.constraints):
-        for beta in mu_assignments(instance, c):
-            lp.add_column(("mu", cid, beta), mu_objective_coef(instance, c, beta))
-
-    for v in range(instance.n):
-        lp.add_row([(("x", v, a), 1.0) for a in range(q)], "=", 1.0, tag=("norm", v))
-    for cid, c in enumerate(instance.constraints):
-        dv = c.distinct_vars()
-        for pos, v in enumerate(dv):
-            for a in range(q):
-                entries = [(("mu", cid, beta), 1.0)
-                           for beta in mu_assignments(instance, c) if beta[pos] == a]
-                entries.append((("x", v, a), -1.0))
-                lp.add_row(entries, "=", 0.0, tag=("marg", cid, v, a))
-    return lp
+    n, q = instance.n, instance.q
+    m = marginal_rows(instance)
+    nx, nrows = n * q, n + len(m.tags)
+    return LinearProgram(
+        m.x_labels + m.mu_labels, np.concatenate([np.zeros(nx), m.mu_objective]),
+        [("norm", v) for v in range(n)] + [("marg",) + tag for tag in m.tags],
+        ["="] * nrows, np.concatenate([np.ones(n), np.zeros(len(m.tags))]),
+        np.concatenate([np.repeat(np.arange(n), q), n + m.row]),
+        np.concatenate([np.arange(nx), m.col]),
+        np.concatenate([np.ones(nx), np.where(m.col < nx, -1.0, 1.0)]))
 
 
 # --- solutions --------------------------------------------------------------
@@ -163,16 +233,12 @@ class LpSolution:
 
 
 def value_of(instance: CspInstance, x, mu) -> float:
-    total = 0.0
-    for cid, c in enumerate(instance.constraints):
-        coefs = np.array([mu_objective_coef(instance, c, beta)
-                          for beta in mu_assignments(instance, c)])
-        total += float(coefs @ mu[cid])
-    return total
+    return sum((float(table_objective(instance, c) @ mu[cid])
+                for cid, c in enumerate(instance.constraints)), 0.0)
 
 
-def solve_basic_lp(instance: CspInstance, column_limit: int = DEFAULT_COLUMN_LIMIT):
-    value, cols = solve_lp(build_basic_lp(instance), column_limit)
+def solve_basic_lp(instance: CspInstance):
+    value, cols = solve_lp(build_basic_lp(instance))
     return value, LpSolution.from_columns(instance, cols)
 
 
@@ -203,16 +269,27 @@ def infeasibility(instance: CspInstance, sol: LpSolution) -> float:
     worst = 0.0
     for v in range(instance.n):
         worst = max(worst, abs(float(sol.x[v].sum()) - 1.0))
-    q = instance.q
-    for cid, c in enumerate(instance.constraints):
-        table = sol.mu[cid]
-        if (table < -1e-12).any():
+    for cid in range(len(instance.constraints)):
+        if (sol.mu[cid] < -1e-12).any():
             raise NegativeEntry(f"negative local table entry in constraint {cid}")
+    return max(worst, marginal_violation(instance, sol.x, sol.mu))
+
+
+def table_marginal(values: np.ndarray, q: int, k: int, pos: int) -> np.ndarray:
+    shaped = values.reshape((q,) * k)
+    axes = tuple(i for i in range(k) if i != pos)
+    return shaped.sum(axis=axes)
+
+
+def marginal_violation(instance: CspInstance, x: np.ndarray, mu: dict) -> float:
+    """Max over constraints and their distinct variables v of the largest
+    |marginal of the table on v - x[v]|."""
+    worst = 0.0
+    for cid, c in enumerate(instance.constraints):
         dv = c.distinct_vars()
-        shaped = table.reshape((q,) * len(dv))
         for pos, v in enumerate(dv):
-            marg = shaped.sum(axis=tuple(i for i in range(len(dv)) if i != pos))
-            worst = max(worst, float(np.max(np.abs(marg - sol.x[v]))))
+            marg = table_marginal(mu[cid], instance.q, len(dv), pos)
+            worst = max(worst, float(np.max(np.abs(marg - x[v]))))
     return worst
 
 

@@ -8,13 +8,16 @@ column so optimal pairs sum to one.  Stage 3 rescales variables by their
 objective coefficient and rows by fixed multipliers so the objective is
 1^T z and every nonzero matrix entry is at least one.
 
-`packing_rows` is the one builder of the stage-2 rows, over a (variables,
-constraints) subset: the whole instance for `to_packing`, one component for
-`exact_packing_optimum`, one ball for the local oracle.  `PackingRows.restricted`
-is the one stage-3 scaling on top of it, and `PackingProgram` the one stage-3
-form: flat (row, col, coef) arrays from which the statistics, the exact solve
-and the local dynamics (`localsolve.PackingDynamics` subclasses it) are all
-computed.  `check_lp3_feasible` checks a stage-2 vector against the same flat
+Stages 1 and 2 are `lp.LinearProgram`s composed over `lp.marginal_rows`,
+as the basic LP is; each writes every marginal row twice (its two bands, or
+its x/mu and xbar/mubar halves) through `lp.interleaved`.  `packing_rows` is
+the one builder of the stage-2 program, over a (variables, constraints)
+subset: the whole instance for `to_packing`, one component for
+`exact_packing_optimum`, one ball for the local oracle.  `restricted` is the
+one stage-3 scaling on top of it, and `PackingProgram` the one stage-3 form:
+flat (row, col, coef) arrays from which the statistics, the exact solve and
+the local dynamics (`localsolve.PackingDynamics` subclasses it) are all
+computed.  `check_lp3_feasible` checks a stage-2 vector against the stage-2
 rows before scaling.
 
 restore_and_repair walks back: it maps a feasible stage-2 vector to basic
@@ -25,8 +28,6 @@ the affected local tables are rebuilt as product distributions.
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +39,10 @@ from .lp import (
     DEFAULT_COLUMN_LIMIT,
     LinearProgram,
     LpSolution,
-    Row,
     infeasibility,
+    interleaved,
+    marginal_rows,
     mu_assignments,
-    mu_objective_coef,
     value_of,
 )
 
@@ -89,187 +90,80 @@ def relax_basic_lp(instance: CspInstance, epsilon: float) -> LinearProgram:
     """
     if not (0.0 < epsilon < 0.5):
         raise ValueError("epsilon must lie in (0, 1/2)")
-    q = instance.q
-    lp = LinearProgram()
-    for v in range(instance.n):
-        for a in range(q):
-            lp.add_column(("x", v, a))
-    for cid, c in enumerate(instance.constraints):
-        for beta in mu_assignments(instance, c):
-            lp.add_column(("mu", cid, beta), mu_objective_coef(instance, c, beta))
-
-    for v in range(instance.n):
-        entries = [(("x", v, a), 1.0) for a in range(q)]
-        lp.add_row(entries, "<=", q - 1 + epsilon, tag=("norm_hi", v))
-        lp.add_row(entries, ">=", q - 1 - epsilon, tag=("norm_lo", v))
-    for cid, c in enumerate(instance.constraints):
-        dv = c.distinct_vars()
-        for pos, v in enumerate(dv):
-            for a in range(q):
-                entries = [(("x", v, a), 1.0)]
-                entries += [(("mu", cid, beta), 1.0)
-                            for beta in mu_assignments(instance, c) if beta[pos] == a]
-                lp.add_row(entries, "<=", 1 + epsilon, tag=("marg_hi", cid, v, a))
-                lp.add_row(entries, ">=", 1 - epsilon, tag=("marg_lo", cid, v, a))
-    for label in lp.labels:
-        lp.add_row([(label, 1.0)], "<=", 1.0, tag=("box",) + label)
-    return lp
+    n, q = instance.n, instance.q
+    m = marginal_rows(instance)
+    labels = m.x_labels + m.mu_labels
+    nx, nmarg, ncols = n * q, len(m.tags), len(labels)
+    # every norm and marginal row twice: its <= half, then its >= half
+    cols = np.concatenate([np.arange(nx), m.col])
+    row, col = interleaved(np.concatenate([np.repeat(np.arange(n), q), n + m.row]), cols, cols)
+    return LinearProgram(
+        labels, np.concatenate([np.zeros(nx), m.mu_objective]),
+        [(kind, v) for v in range(n) for kind in ("norm_hi", "norm_lo")]
+        + [(kind,) + tag for tag in m.tags for kind in ("marg_hi", "marg_lo")]
+        + [("box",) + label for label in labels],
+        ["<=", ">="] * (n + nmarg) + ["<="] * ncols,
+        np.concatenate([np.tile([q - 1 + epsilon, q - 1 - epsilon], n),
+                        np.tile([1 + epsilon, 1 - epsilon], nmarg), np.ones(ncols)]),
+        np.concatenate([row, 2 * (n + nmarg) + np.arange(ncols)]),
+        np.concatenate([col, np.arange(ncols)]), np.ones(len(row) + ncols))
 
 
 def to_packing(instance: CspInstance, params: PipelineParams) -> LinearProgram:
     """Stage 2: complement columns, <=-only rows, reward C on every column."""
-    return packing_rows(instance, params).linear_program()
-
-
-@functools.lru_cache(maxsize=None)
-def _assignment_grid(q: int, k: int):
-    """Assignments to k distinct variables in `mu_assignments` order.
-
-    Returns the tuples, their (q^k, k) array, and per (position, value) the
-    ascending indices of the assignments that agree there, shape (k, q, q^(k-1)).
-    Cached and shared, so the arrays are read-only.
-    """
-    betas = tuple(itertools.product(range(q), repeat=k))
-    grid = np.array(betas, dtype=np.int64).reshape(len(betas), k)
-    hits = np.argsort(grid, axis=0, kind="stable").T.reshape(k, q, -1)
-    grid.flags.writeable = hits.flags.writeable = False
-    return betas, grid, hits
-
-
-@dataclass
-class PackingRows:
-    """The stage-2 packing program over a (variables, constraints) subset, flat.
-
-    Column blocks are x, xbar, mu, mubar; rows come as r1, r2, r3/r4
-    (interleaved per constraint, variable and value), r5, r6, all of them
-    <= rows.  Entries are (row, col, coef) triples sorted by row.
-    """
-
-    labels: list
-    reward: np.ndarray      # stage-2 objective per column
-    tags: list              # per row
-    rhs: np.ndarray         # per row
-    row: np.ndarray         # per entry
-    col: np.ndarray
-    coef: np.ndarray
-
-    @classmethod
-    def of(cls, lp: LinearProgram) -> "PackingRows":
-        row, col, coef = flatten_rows([r.cols for r in lp.rows], [r.coefs for r in lp.rows])
-        return cls(list(lp.labels), np.asarray(lp.objective, dtype=float),
-                   [r.tag for r in lp.rows], np.array([r.rhs for r in lp.rows], dtype=float),
-                   row, col, coef)
-
-    def linear_program(self) -> LinearProgram:
-        lp = LinearProgram()
-        for label, reward in zip(self.labels, self.reward.tolist()):
-            lp.add_column(label, reward)
-        lp.rows = [Row(cols, coefs, "<=", rhs, tag) for (cols, coefs), rhs, tag in
-                   zip(split_rows(self.row, len(self.rhs), self.col, self.coef),
-                       self.rhs.tolist(), self.tags)]
-        return lp
-
-    def restricted(self, params: PipelineParams):
-        """Stage 3: scale columns by reward, rows to coefficient floor one.
-
-        Rows carrying objective-bearing table columns (r3, r6) are multiplied
-        by (w + C), the remaining rows by C; combined with dividing each
-        column by its stage-2 objective coefficient this makes every
-        surviving coefficient >= 1 while the objective becomes the plain sum
-        of the scaled columns.  Returns (coefficient per entry, rhs per row).
-        """
-        boosted = np.array([tag[0] in ("r3", "r6") for tag in self.tags], dtype=bool)
-        mult = np.where(boosted, params.w + params.C, params.C)
-        return self.coef * mult[self.row] / self.reward[self.col], self.rhs * mult
-
-    def program(self, params: PipelineParams) -> "PackingProgram":
-        return PackingProgram(self.labels, self.tags, self.row, self.col,
-                              *self.restricted(params), self.reward)
-
-
-def flatten_rows(row_cols, row_coefs):
-    """Per-row column and coefficient arrays as flat (row, col, coef) arrays."""
-    sizes = [len(cols) for cols in row_cols]
-    return (np.repeat(np.arange(len(sizes)), sizes),
-            np.concatenate(list(row_cols) or [np.empty(0, dtype=np.int64)]),
-            np.concatenate(list(row_coefs) or [np.empty(0)]))
-
-
-def split_rows(rows, num_rows: int, cols, coefs) -> list:
-    """Per-row (cols, coefs) pieces of per-entry arrays sorted by row id."""
-    ends = np.cumsum(np.bincount(rows, minlength=num_rows)).tolist()
-    return [(cols[a:b], coefs[a:b]) for a, b in zip([0] + ends, ends)]
+    return packing_rows(instance, params)
 
 
 def packing_rows(instance: CspInstance, params: PipelineParams, variables=None,
-                 constraint_ids=None) -> PackingRows:
+                 constraint_ids=None) -> LinearProgram:
     """The stage-2 packing program restricted to a subset; the whole instance by default.
 
     This is the only place packing rows are written: `to_packing`,
     `exact_packing_optimum` (per component) and the local oracle's ball
     program (per ball) all read it.  Every distinct variable of a listed
-    constraint must be listed.  Columns are indexed through per-variable and
-    per-constraint offsets, so rows and entries come out in one pass per
-    constraint arity.
+    constraint must be listed.  Column blocks are x, xbar, mu, mubar; rows
+    come as r1, r2, r3/r4 (the two halves of each marginal row), r5, r6,
+    all of them <= rows.
     """
     q, C, eps = instance.q, params.C, params.epsilon
-    vs = range(instance.n) if variables is None else list(variables)
-    cids = range(len(instance.constraints)) if constraint_ids is None else list(constraint_ids)
-    cons = [instance.constraints[cid] for cid in cids]
-    dvs = [c.distinct_vars() for c in cons]
-    nv, nx = len(vs), len(vs) * q
-    ks = np.array([len(dv) for dv in dvs], dtype=np.int64)
-    sizes = q ** ks
-    nmu = int(sizes.sum())
-    mu0 = 2 * nx + np.cumsum(sizes) - sizes       # first mu column per constraint
-    rows34 = 2 * q * ks                           # its r3/r4 rows
-    ents34 = rows34 * (1 + sizes // q)            # and their entries
-    r0, e0 = np.cumsum(rows34) - rows34, np.cumsum(ents34) - ents34
-    row34 = np.empty(int(ents34.sum()), dtype=np.int64)
-    col34 = np.empty_like(row34)
-    rhs34 = np.empty(int(rows34.sum()))
-
-    slot = {v: i for i, v in enumerate(vs)}
-    for k in sorted(set(ks.tolist())):
-        _, _, hits = _assignment_grid(q, k)
-        g = np.flatnonzero(ks == k)
-        # x column of (pos, a) and the mu columns agreeing with it, per constraint
-        x = (np.array([[slot[v] for v in dvs[i]] for i in g]).reshape(len(g), k, 1, 1) * q
-             + np.arange(q).reshape(q, 1))
-        mu = mu0[g].reshape(-1, 1, 1, 1) + hits
-        cols = np.stack([np.concatenate([x, mu], 3),
-                         np.concatenate([x + nx, mu + nmu], 3)], 3)   # (g, pos, a, r3/r4, entry)
-        rows = r0[g].reshape(-1, 1) + np.arange(2 * k * q)
-        at = e0[g].reshape(-1, 1) + np.arange(cols[0].size)
-        col34[at] = cols.reshape(len(g), -1)
-        row34[at] = np.repeat(rows, cols.shape[-1], axis=1)
-        rhs34[rows] = np.tile([1 + eps, q ** (k - 1) + eps], k * q)
-
+    m = marginal_rows(instance, variables, constraint_ids)
+    nx, nmu, nmarg = len(m.x_labels), len(m.mu_labels), len(m.tags)
+    vs = [label[1] for label in m.x_labels[::q]]
+    nv, is_mu = len(vs), m.col >= nx
+    row34, col34 = interleaved(m.row, m.col + nx * is_mu, m.col + nx + nmu * is_mu)
     # r5 and r6 pair every x and mu column with its complement
     first = np.concatenate([np.arange(nx), 2 * nx + np.arange(nmu)])
     second = first + np.repeat([nx, nmu], [nx, nmu])
-    n12, n34 = 2 * nv, len(rhs34)
+    n12, n34 = 2 * nv, 2 * nmarg
     row = np.concatenate([np.repeat(np.arange(n12), q), n12 + row34,
                           np.repeat(n12 + n34 + np.arange(nx + nmu), 2)])
     col = np.concatenate([np.arange(2 * nx), col34, np.stack([first, second], 1).ravel()])
+    rhs34 = np.stack([np.full(nmarg, 1 + eps), m.mu_count + eps], 1).ravel()
     rhs = np.concatenate([np.full(nv, q - 1 + eps), np.full(nv, 1 + eps), rhs34,
                           np.ones(nx + nmu)])
-
-    grids = [_assignment_grid(q, len(dv)) for dv in dvs]
-    mu_labels = [(cid, beta) for cid, (betas, _, _) in zip(cids, grids) for beta in betas]
-    labels = [(kind, v, a) for kind in ("x", "xbar") for v in vs for a in range(q)]
-    labels += [("mu",) + lab for lab in mu_labels] + [("mubar",) + lab for lab in mu_labels]
+    labels = m.x_labels + [("xbar",) + label[1:] for label in m.x_labels]
+    labels += m.mu_labels + [("mubar",) + label[1:] for label in m.mu_labels]
     tags = [(kind, v) for kind in ("r1", "r2") for v in vs]
-    tags += [(kind, cid, v, a) for cid, dv in zip(cids, dvs) for v in dv for a in range(q)
-             for kind in ("r3", "r4")]
-    tags += [("r5", v, a) for v in vs for a in range(q)] + [("r6",) + lab for lab in mu_labels]
-    # table objectives w * P(beta), the first scope position most significant
-    sat = [c.weight * np.asarray(instance.predicates[c.predicate].truth_table)[
-               grid[:, [dv.index(u) for u in c.scope]] @ q ** np.arange(len(c.scope))[::-1]]
-           for c, dv, (_, grid, _) in zip(cons, dvs, grids)]
-    reward = np.concatenate([np.full(2 * nx, C), np.concatenate(sat or [np.empty(0)]) + C,
-                             np.full(nmu, C)])
-    return PackingRows(labels, reward, tags, rhs, row, col, np.ones(len(col)))
+    tags += [(kind,) + tag for tag in m.tags for kind in ("r3", "r4")]
+    tags += [("r5",) + label[1:] for label in m.x_labels]
+    tags += [("r6",) + label[1:] for label in m.mu_labels]
+    reward = np.concatenate([np.full(2 * nx, C), m.mu_objective + C, np.full(nmu, C)])
+    return LinearProgram(labels, reward, tags, ["<="] * len(rhs), rhs, row, col,
+                         np.ones(len(col)))
+
+
+def restricted(lp3: LinearProgram, params: PipelineParams):
+    """Stage 3 of a stage-2 program: scale columns by reward, rows to coefficient floor one.
+
+    Rows carrying objective-bearing table columns (r3, r6) are multiplied
+    by (w + C), the remaining rows by C; combined with dividing each
+    column by its stage-2 objective coefficient this makes every
+    surviving coefficient >= 1 while the objective becomes the plain sum
+    of the scaled columns.  Returns (coefficient per entry, rhs per row).
+    """
+    boosted = np.array([tag[0] in ("r3", "r6") for tag in lp3.tags], dtype=bool)
+    mult = np.where(boosted, params.w + params.C, params.C)
+    return lp3.coef * mult[lp3.row] / lp3.objective[lp3.col], lp3.rhs * mult
 
 
 def primal_column_count(instance: CspInstance) -> int:
@@ -316,7 +210,8 @@ class PackingProgram:
     @property
     def row_entries(self) -> list:
         """Per inequality: (col indices, coefficients)."""
-        return split_rows(self.row, self.num_rows, self.col, self.coef)
+        ends = np.cumsum(np.bincount(self.row, minlength=self.num_rows)).tolist()
+        return [(self.col[a:b], self.coef[a:b]) for a, b in zip([0] + ends, ends)]
 
     # statistics of the restricted form
     @property
@@ -371,32 +266,34 @@ class PackingProgram:
 
 
 def normalize_packing(lp3: LinearProgram, params: PipelineParams) -> PackingProgram:
-    """Stage 3 of a stage-2 program: the `PackingRows.restricted` scaling."""
-    return PackingRows.of(lp3).program(params)
+    """Stage 3 of a stage-2 program: the `restricted` scaling."""
+    return PackingProgram(lp3.labels, lp3.tags, lp3.row, lp3.col, *restricted(lp3, params),
+                          lp3.objective)
 
 
 def exact_packing_optimum(instance: CspInstance, params: PipelineParams) -> float:
     """Optimum of the restricted packing program, solved per component."""
     total = 0.0
     for vs, cids in connected_components(instance):
-        value, _ = packing_rows(instance, params, vs, cids).program(params).solve_exact()
+        value, _ = normalize_packing(packing_rows(instance, params, vs, cids),
+                                     params).solve_exact()
         total += value
     return total
 
 
 # --- the restore-and-repair step ----------------------------------------------
 
-def check_lp3_feasible(rows: PackingRows, z: dict, tol: float = 1e-7) -> float:
+def check_lp3_feasible(lp3: LinearProgram, z: dict, tol: float = 1e-7) -> float:
     """Largest row excess of the stage-2 vector z (missing labels read 0).
 
     Raises NotFeasibleForLp3 on a column below -tol or an excess above tol.
     """
-    vals = np.array([z.get(lab, 0.0) for lab in rows.labels], dtype=float)
+    vals = np.array([z.get(lab, 0.0) for lab in lp3.labels], dtype=float)
     negative = np.flatnonzero(vals < -tol)
     if len(negative):
-        raise NotFeasibleForLp3(f"negative column {rows.labels[negative[0]]}")
-    loads = np.bincount(rows.row, rows.coef * vals[rows.col], len(rows.rhs))
-    worst = float((loads - rows.rhs).max(initial=0.0))
+        raise NotFeasibleForLp3(f"negative column {lp3.labels[negative[0]]}")
+    loads = np.bincount(lp3.row, lp3.coef * vals[lp3.col], len(lp3.rhs))
+    worst = float((loads - lp3.rhs).max(initial=0.0))
     if worst > tol:
         raise NotFeasibleForLp3(f"row violation {worst:.3e}")
     return worst
@@ -445,8 +342,7 @@ def restore_and_repair(instance: CspInstance, z: dict, params: PipelineParams,
     rebuilt as a product distribution.  z is first checked against the
     stage-2 rows, those of `lp3` when it is given.  Returns (LpSolution, report).
     """
-    rows = packing_rows(instance, params) if lp3 is None else PackingRows.of(lp3)
-    check_lp3_feasible(rows, z)
+    check_lp3_feasible(packing_rows(instance, params) if lp3 is None else lp3, z)
     q, n = instance.q, instance.n
     eps2 = params.eps_reset
     marginals, mu, reset_vars = repair_blocks(lambda lab: z.get(lab, 0.0), instance, eps2,

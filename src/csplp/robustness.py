@@ -18,7 +18,7 @@ import numpy as np
 
 from .csp import CspInstance
 from .errors import NotADistribution, ZeroRow
-from .lp import LpSolution, value_of
+from .lp import LpSolution, infeasibility, marginal_violation, value_of
 
 
 @dataclass(frozen=True)
@@ -101,12 +101,6 @@ def unhat(table: LocalTable, basis: CharacterBasis | None = None) -> LocalTable:
     return LocalTable(q, k, arr.reshape(-1), table.hat.copy())
 
 
-def table_marginal(values: np.ndarray, q: int, k: int, pos: int) -> np.ndarray:
-    shaped = values.reshape((q,) * k)
-    axes = tuple(i for i in range(k) if i != pos)
-    return shaped.sum(axis=axes)
-
-
 # --- surgery -----------------------------------------------------------------
 
 def surgery(x: np.ndarray) -> np.ndarray:
@@ -185,12 +179,10 @@ def repair_to_feasible(instance: CspInstance, sol: LpSolution,
     guarantee needs the violation relative to the corrected marginals) and by
     the largest distinct-variable count among the constraints.
     """
-    from .lp import infeasibility  # local import to avoid a cycle at import time
-
     if measured_eps is None:
         measured_eps = infeasibility(instance, sol)
     x_prime = surgery(sol.x)
-    post = _marginal_violation(instance, x_prime, sol.mu)
+    post = marginal_violation(instance, x_prime, sol.mu)
     k_max = max((len(c.distinct_vars()) for c in instance.constraints), default=1)
     delta = min(1.0, k_max * instance.q ** 3 * post)
 
@@ -222,14 +214,3 @@ def repair_to_feasible(instance: CspInstance, sol: LpSolution,
     }
     return repaired, report
 
-
-def _marginal_violation(instance: CspInstance, x: np.ndarray, mu: dict) -> float:
-    worst = 0.0
-    q = instance.q
-    for cid, c in enumerate(instance.constraints):
-        dv = c.distinct_vars()
-        k = len(dv)
-        for pos, v in enumerate(dv):
-            marg = table_marginal(mu[cid], q, k, pos)
-            worst = max(worst, float(np.max(np.abs(marg - x[v]))))
-    return worst

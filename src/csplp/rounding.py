@@ -67,10 +67,6 @@ def discretize(x: float, eps: float) -> float:
     return float(grid_coords(x, eps) * eps)
 
 
-def discretize_marginals(x: np.ndarray, eps: float) -> np.ndarray:
-    return grid_coords(x, eps) * eps
-
-
 @dataclass
 class FoldingMap:
     """Variable -> bucket assignment induced by discretized marginals."""
@@ -141,11 +137,6 @@ def unfold_value(fm: FoldingMap, folded_beta, v: int, draw_seed: int | None = No
     """Value of v under per-bucket rules: a constant, or DRAW with draw_seed."""
     rule = folded_beta[fm.bucket_of(v)]
     return fm.draw(v, draw_seed) if rule == DRAW else int(rule)
-
-
-def unfold_assignment(fm: FoldingMap, folded_beta, draw_seed: int | None = None) -> np.ndarray:
-    return np.array([unfold_value(fm, folded_beta, v, draw_seed)
-                     for v in range(len(fm.keys))], dtype=np.int64)
 
 
 def shared_buckets(oracle: ConstraintOracle, fm: FoldingMap) -> set[int]:

@@ -23,7 +23,8 @@ from csplp.csp import (
 )
 from csplp.gaplab import GapParams, collision_experiment, gen_lp_instance, gen_opt_instance
 from csplp.localsolve import LpOracle, analytic_gamma_bounds
-from csplp.lp import LpSolution, infeasibility, solve_basic_lp, solve_lp, save_solution
+from csplp.lp import (LpSolution, infeasibility, save_solution, solve_basic_lp, solve_lp,
+                      table_marginal)
 from csplp.pipeline import (
     PipelineParams,
     exact_packing_optimum,
@@ -33,7 +34,7 @@ from csplp.pipeline import (
     restore_and_repair,
     to_packing,
 )
-from csplp.robustness import repair_to_feasible, smooth, table_marginal
+from csplp.robustness import repair_to_feasible, smooth
 from csplp.rounding import round_assignment, test_satisfiability as run_tester
 
 pytestmark = pytest.mark.acceptance

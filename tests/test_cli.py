@@ -206,7 +206,9 @@ def test_repair_rejects_solution_of_another_shape(tmp_path, instance, solution, 
     assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: ")
 
 
-# sha256 of `pipeline dump` (default epsilon 0.25) as of the flat stage-3 form
+# sha256 of `pipeline dump` (default epsilon 0.25) as of the flat stage-3 form, and of
+# the `solve-lp --out` solution and its `repair --out` as of the flat basic LP: the
+# first optimal basis the simplex finds depends on the builders' row order
 DUMP_SHA256 = {
     ("triangle", "relaxed"): "a170f7e01bb0a20ff39cd2d0f6f041dfa5f12183362789255854b71fa8a02d2e",
     ("triangle", "packing"): "eac1a59a96cfb8ec5be04f7718f0cf90e3af8e8133027f0e332d7a5d5d2ff757",
@@ -217,6 +219,12 @@ DUMP_SHA256 = {
     ("union", "relaxed"): "fa7f08567b7d3bf25c97592589f0438b8139d0d493760997c9d866c266335454",
     ("union", "packing"): "7adefb232ba481687c4f363ad02cc0e8c35f68b14e354e7cf1c32cfd7b1b9975",
     ("union", "restricted"): "66734e4483b626fb1d80ecca8b67f69337aba061820380033d48a7029483159d",
+    ("triangle", "solve-lp"): "179f69a3537e6b2e9d93b0740eb5375216abc079486b91fee66b88a5afe8cda3",
+    ("triangle", "repair"): "179f69a3537e6b2e9d93b0740eb5375216abc079486b91fee66b88a5afe8cda3",
+    ("random", "solve-lp"): "833dfe28625f2b5857b74f80588ee5eaf4705fd4fe265a7f3f2cc9d95ea478d0",
+    ("random", "repair"): "b71cb4e0bc8af8fecf93739a2ba088a375d73e9918d2f37bfa711e97a23eef6e",
+    ("union", "solve-lp"): "6667acb4a0c2e22ced51aa7ef06ca72690c45a274d1e38c7b1d14e946ce1f9fd",
+    ("union", "repair"): "6667acb4a0c2e22ced51aa7ef06ca72690c45a274d1e38c7b1d14e946ce1f9fd",
 }
 DUMP_INSTANCES = {
     "triangle": corpus.triangle,
@@ -229,9 +237,17 @@ DUMP_INSTANCES = {
 def test_pipeline_dump_golden(tmp_path, name, stage):
     inst_path = tmp_path / "inst.json"
     save_instance(DUMP_INSTANCES[name](), inst_path)
-    out_path = tmp_path / "dump.json"
-    assert cli.main(["pipeline", "dump", "--instance", str(inst_path), "--stage", stage,
-                     "--out", str(out_path)]) == 0
+    sol_path, out_path = tmp_path / "sol.json", tmp_path / "out.json"
+    if stage == "solve-lp":
+        argv = ["solve-lp", "--instance", str(inst_path), "--out", str(out_path)]
+    elif stage == "repair":
+        assert cli.main(["solve-lp", "--instance", str(inst_path), "--out", str(sol_path)]) == 0
+        argv = ["repair", "--instance", str(inst_path), "--solution", str(sol_path),
+                "--out", str(out_path)]
+    else:
+        argv = ["pipeline", "dump", "--instance", str(inst_path), "--stage", stage,
+                "--out", str(out_path)]
+    assert cli.main(argv) == 0
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == DUMP_SHA256[name, stage]
 
 

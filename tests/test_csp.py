@@ -208,8 +208,8 @@ class TestScanCrossCheck:
     def test_matches_exhaustive_enumeration(self, inst):
         assignments = list(itertools.product(range(inst.q), repeat=inst.n))
         values = [evaluate(inst, a) for a in assignments]
-        counts = [sum(inst.constraint_value(cid, a) for cid in range(len(inst.constraints)))
-                  for a in assignments]
+        counts = [sum(inst.predicates[c.predicate].value([a[v] for v in c.scope], inst.q)
+                      for c in inst.constraints) for a in assignments]
         val, beta = brute_force_opt(inst)
         assert val == evaluate(inst, beta)
         assert abs(val - max(values)) <= 1e-9 * inst.total_weight

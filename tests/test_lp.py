@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from csplp import corpus
+from csplp import lp as lp_module
 from csplp.csp import Constraint, brute_force_opt, build_instance
 from csplp.errors import NegativeEntry, SizeLimit
 from csplp.lp import (
@@ -72,15 +73,15 @@ class TestSolve:
         assert value == pytest.approx(1.0, abs=1e-7)
 
     def test_max_z_leq_one(self):
-        lp = LinearProgram()
-        lp.add_column(("z",), 1.0)
-        lp.add_row([(("z",), 1.0)], "<=", 1.0)
+        one, zero = np.ones(1), np.zeros(1, dtype=np.int64)
+        lp = LinearProgram([("z",)], one, [()], ["<="], one, zero, zero, one)
         value, cols = solve_lp(lp)
         assert value == pytest.approx(1.0, abs=1e-9)
 
-    def test_column_limit(self, tri):
+    def test_column_limit(self, tri, monkeypatch):
+        monkeypatch.setattr(lp_module, "DEFAULT_COLUMN_LIMIT", 4)
         with pytest.raises(SizeLimit):
-            solve_lp(build_basic_lp(tri), column_limit=4)
+            solve_lp(build_basic_lp(tri))
 
     def test_relaxation_dominates_opt_small_corpus(self):
         for seed in range(25):

@@ -7,7 +7,7 @@ from scipy.optimize import linprog
 from csplp import corpus
 from csplp.csp import build_instance, Constraint
 from csplp.errors import NotFeasibleForLp3
-from csplp.lp import infeasibility, solve_basic_lp, solve_lp
+from csplp.lp import build_basic_lp, infeasibility, solve_basic_lp, solve_lp
 from csplp.pipeline import (
     PipelineParams,
     check_lp3_feasible,
@@ -132,15 +132,44 @@ class TestNormalize:
 
 
 @st.composite
-def small_programs(draw):
-    """The restricted packing program of a random small instance."""
+def small_instances(draw):
+    """A random small instance and a slack eps."""
     q = draw(st.sampled_from([2, 3]))
     s = draw(st.integers(1, 3))
     inst = corpus.random_instance(draw(st.integers(0, 2 ** 31 - 1)), q=q, s=s,
                                   n=draw(st.integers(max(s, 2), 5)),
                                   m=draw(st.integers(1, 4)))
-    params = params_for(inst, draw(st.floats(0.1, 0.4)))
-    return packing_rows(inst, params).program(params)
+    return inst, draw(st.floats(0.1, 0.4))
+
+
+@st.composite
+def small_programs(draw):
+    """The restricted packing program of a random small instance."""
+    inst, eps = draw(small_instances())
+    params = params_for(inst, eps)
+    return normalize_packing(packing_rows(inst, params), params)
+
+
+class TestBasicBuilders:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(drawn=small_instances())
+    def test_against_highs_and_row_view(self, drawn):
+        inst, eps = drawn
+        for lp in (build_basic_lp(inst), relax_basic_lp(inst, eps)):
+            c, A, senses, b = lp.dense()
+            rows = lp.rows
+            rebuilt = np.zeros_like(A)
+            for j, row in enumerate(rows):
+                rebuilt[j, row.cols] = row.coefs
+            assert np.array_equal(rebuilt, A)
+            assert [(r.sense, r.rhs, r.tag) for r in rows] == list(zip(senses, b, lp.tags))
+            eq = np.array(senses) == "="
+            flip = np.where(np.array(senses) == ">=", -1.0, 1.0)
+            res = linprog(-c, A_ub=(flip[:, None] * A)[~eq], b_ub=(flip * b)[~eq],
+                          A_eq=A[eq], b_eq=b[eq], bounds=(0, None), method="highs")
+            assert res.status == 0
+            value, _ = solve_lp(lp)
+            assert value == pytest.approx(-res.fun, rel=1e-7)
 
 
 class TestFlatProgram:

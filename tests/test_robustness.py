@@ -6,7 +6,7 @@ import pytest
 from csplp import corpus
 from csplp.csp import build_instance, Constraint
 from csplp.errors import NotADistribution, ZeroRow
-from csplp.lp import LpSolution, infeasibility, solve_basic_lp, value_of
+from csplp.lp import LpSolution, infeasibility, solve_basic_lp, table_marginal, value_of
 from csplp.robustness import (
     LocalTable,
     build_basis,
@@ -14,7 +14,6 @@ from csplp.robustness import (
     repair_to_feasible,
     smooth,
     surgery,
-    table_marginal,
     unhat,
 )
 

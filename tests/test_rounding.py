@@ -13,17 +13,21 @@ from csplp.rounding import (
     DRAW,
     adjust_epsilon,
     discretize,
-    discretize_marginals,
     estimate_assignment_value,
     fold,
     fold_map,
+    grid_coords,
     per_variable_shares,
     round_assignment,
     test_satisfiability as run_satisfiability_test,
     tester_threshold as separation_threshold,
-    unfold_assignment,
+    unfold_value,
     TESTER_DELTA_PRESETS,
 )
+
+
+def unfolded_assignment(fm, beta):
+    return [unfold_value(fm, beta, v) for v in range(len(fm.keys))]
 
 
 def exact_oracle(inst):
@@ -92,7 +96,7 @@ class TestFold:
         x = rng.random((6, 2))
         fm, folded = fold(inst, x, 0.5)
         for beta in itertools.product(range(2), repeat=fm.bucket_count):
-            unfolded = unfold_assignment(fm, beta)
+            unfolded = unfolded_assignment(fm, beta)
             assert evaluate(folded, beta) == pytest.approx(evaluate(inst, unfolded))
 
     def test_merge_of_identical_gadgets_keeps_lp(self):
@@ -119,7 +123,7 @@ class TestFold:
             inst = corpus.random_instance(seed, n=5, m=4, q=2)
             _, sol = solve_basic_lp(inst)
             eps = adjust_epsilon(0.2)
-            x_eps = discretize_marginals(sol.x, eps)
+            x_eps = grid_coords(sol.x, eps) * eps
             moved = LpSolution(x_eps, sol.mu, sol.value)
             assert infeasibility(inst, moved) <= (inst.q + 1) * eps + 1e-9
 
@@ -149,7 +153,7 @@ class TestShares:
         _, sol = solve_basic_lp(inst)
         fm = fold_map(sol.x, adjust_epsilon(0.02))
         beta = tuple(0 for _ in range(fm.bucket_count))
-        truth = evaluate(inst, unfold_assignment(fm, beta))
+        truth = evaluate(inst, unfolded_assignment(fm, beta))
         eps, delta = 0.3, 0.05
         misses = 0
         trials = 400
