@@ -13,7 +13,9 @@ assume each position owns its own variable block.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -38,13 +40,9 @@ def apportion(probs, N: int) -> np.ndarray:
     return base
 
 
-def _check_repeat_free(instance: CspInstance):
-    for c in instance.constraints:
-        if len(set(c.scope)) != len(c.scope):
-            raise ValueError("blow-up generators need repeat-free scopes")
-
-
-def _check_sizes(N: int, T: int):
+def _check_blowup(instance: CspInstance, N: int, T: int):
+    if any(len(set(c.scope)) != len(c.scope) for c in instance.constraints):
+        raise ValueError("blow-up generators need repeat-free scopes")
     if N < 1 or T < 1:
         raise ValueError("blow-up sizes N and T must be at least 1")
 
@@ -66,11 +64,6 @@ class GapParams:
 @dataclass
 class GapInstance:
     instance: CspInstance
-    provenance: str
-    source: CspInstance
-    N: int
-    T: int
-    seed: int
     label_perm: np.ndarray
     alpha: np.ndarray | None = None
 
@@ -79,91 +72,82 @@ def _class_table(instance, cid, mu_flat, marginals, N):
     """Integer class sizes per local assignment, consistent with per-variable
     value counts.  Exact when mu * N is integral; otherwise floor-and-fill,
     which can stall on higher arities."""
-    c = instance.constraints[cid]
-    dv = c.distinct_vars()
-    k, q = len(dv), instance.q
-    betas = list(mu_assignments(instance, c))
+    scope = instance.constraints[cid].scope
+    betas = mu_assignments(instance, instance.constraints[cid])
     raw = np.asarray(mu_flat, dtype=float) * N
     ints = np.rint(raw)
     if np.max(np.abs(raw - ints)) < 1e-7:
         return ints.astype(np.int64)
     base = np.floor(raw + 1e-12).astype(np.int64)
     deficit = {}
-    for pos, v in enumerate(dv):
-        for a in range(q):
+    for pos, v in enumerate(scope):
+        for a in range(instance.q):
             have = sum(int(base[i]) for i, b in enumerate(betas) if b[pos] == a)
-            deficit[(pos, a)] = int(marginals[v][a]) - have
+            deficit[pos, a] = int(marginals[v][a]) - have
     remainders = raw - base
     order = sorted(range(len(betas)), key=lambda i: (-remainders[i], i))
-    need = N - int(base.sum())
-    for _ in range(need):
-        placed = False
-        for i in order:
-            beta = betas[i]
-            if all(deficit[(pos, beta[pos])] > 0 for pos in range(k)):
-                base[i] += 1
-                for pos in range(k):
-                    deficit[(pos, beta[pos])] -= 1
-                placed = True
-                break
-        if not placed:
+    for _ in range(N - int(base.sum())):
+        fit = next((i for i in order
+                    if all(deficit[pos, a] > 0 for pos, a in enumerate(betas[i]))), None)
+        if fit is None:
             raise InfeasibleSeedSolution(
                 "cannot reconcile rounded class sizes with the value counts; "
                 f"choose N so the tables of constraint {cid} scale to integers")
+        base[fit] += 1
+        for pos, a in enumerate(betas[fit]):
+            deficit[pos, a] -= 1
     return base
 
 
-def _finish(instance, N, T, rng, cons_virtual, incident, alpha_virtual, provenance,
-            seed):
-    n = instance.n
-    nN = n * N
+def _finish(instance, N, T, rng, pairs, alpha_virtual=None):
+    """Relabel the copies and lay out their index slots.
+
+    `pairs` holds one (source constraint id, copy per scope position) pair per
+    blown-up constraint; copy j of source variable v is label v * N + j before
+    the relabelling `pi`.
+    """
+    nN = instance.n * N
     pi = rng.permutation(nN)
-    constraints = [Constraint(pred, tuple(int(pi[u]) for u in scope), weight)
-                   for (pred, scope, weight) in cons_virtual]
-    index = [[] for _ in range(nN)]
-    for v in range(n):
-        deg = instance.degree(v)
+    incident = defaultdict(list)  # (v, block, copy) -> blown-up constraint ids
+    constraints = []
+    for jcid, (cid, copies) in enumerate(pairs):
+        c = instance.constraints[cid]
+        for u, j in zip(c.scope, copies):
+            incident[u, instance.degree_index[u].index(cid), j].append(jcid)
+        constraints.append(Constraint(c.predicate, tuple(int(pi[u * N + j])
+                                                         for u, j in zip(c.scope, copies)),
+                                      c.weight))
+    index = [None] * nN
+    for v in range(instance.n):
         for j in range(N):
-            slots = []
-            for b in range(deg):
-                block = list(incident[(v, b)][j])
-                order = rng.permutation(T)
-                slots.extend(block[o] for o in order)
-            index[int(pi[v * N + j])] = slots
+            index[pi[v * N + j]] = [incident[v, b, j][o] for b in range(instance.degree(v))
+                                    for o in rng.permutation(T)]
     blown = build_instance(instance.q, instance.s, instance.t * T, instance.w,
                            nN, instance.predicates, constraints, degree_index=index)
     alpha = None
     if alpha_virtual is not None:
         alpha = np.empty(nN, dtype=np.int64)
         alpha[pi] = alpha_virtual
-    return GapInstance(blown, provenance, instance, N, T, seed, pi, alpha)
+    return GapInstance(blown, pi, alpha)
+
+
+def _matched(rng, cid, copies, T):
+    """Match T stubs of every copy uniformly across the scope positions of
+    constraint `cid`; `copies[pos]` lists the copies position pos draws from."""
+    stubs = [pool[rng.permutation(len(pool) * T) // T] for pool in copies]
+    return [(cid, tuple(row)) for row in np.stack(stubs, axis=1).tolist()]
 
 
 def gen_opt_instance(params: GapParams) -> GapInstance:
     """Blow-up through uniform per-position stub matchings."""
     inst, N, T = params.instance, params.N, params.T
-    _check_repeat_free(inst)
-    _check_sizes(N, T)
+    _check_blowup(inst, N, T)
     rng = np.random.default_rng(params.seed)
-    merge = {(v, b): rng.permutation(N)
-             for v in range(inst.n) for b in range(inst.degree(v))}
-    cons_virtual = []
-    incident = {(v, b): [[] for _ in range(N)]
-                for v in range(inst.n) for b in range(inst.degree(v))}
-    for p_src, c in enumerate(inst.constraints):
-        scope = c.scope
-        blocks = [inst.degree_index[u].index(p_src) for u in scope]
-        perms = [rng.permutation(T * N) for _ in scope]
-        for m in range(T * N):
-            jcid = len(cons_virtual)
-            entry = []
-            for pos, u in enumerate(scope):
-                copy = int(perms[pos][m]) // T
-                final = int(merge[(u, blocks[pos])][copy])
-                entry.append(u * N + final)
-                incident[(u, blocks[pos])][final].append(jcid)
-            cons_virtual.append((c.predicate, tuple(entry), c.weight))
-    return _finish(inst, N, T, rng, cons_virtual, incident, None, "opt", params.seed)
+    merge = {(v, cid): rng.permutation(N) for v in range(inst.n) for cid in inst.degree_index[v]}
+    pairs = []
+    for cid, c in enumerate(inst.constraints):
+        pairs += _matched(rng, cid, [merge[u, cid] for u in c.scope], T)
+    return _finish(inst, N, T, rng, pairs)
 
 
 def gen_lp_instance(params: GapParams) -> GapInstance:
@@ -175,8 +159,7 @@ def gen_lp_instance(params: GapParams) -> GapInstance:
     assignment is recorded.
     """
     inst, N, T = params.instance, params.N, params.T
-    _check_repeat_free(inst)
-    _check_sizes(N, T)
+    _check_blowup(inst, N, T)
     sol = LpSolution(np.asarray(params.xstar, dtype=float),
                      {k: np.asarray(v, dtype=float) for k, v in params.mustar.items()},
                      0.0)
@@ -188,64 +171,34 @@ def gen_lp_instance(params: GapParams) -> GapInstance:
         raise InfeasibleSeedSolution(f"seed solution violates rows by {eps:.2e}")
 
     rng = np.random.default_rng(params.seed)
-    q = inst.q
-    marginals = {v: apportion(sol.x[v], N) for v in range(inst.n)}
-    # copy j of v takes the value of its class range
-    offsets = {v: np.concatenate([[0], np.cumsum(marginals[v])]) for v in range(inst.n)}
-    alpha_virtual = np.empty(inst.n * N, dtype=np.int64)
-    for v in range(inst.n):
-        for a in range(q):
-            alpha_virtual[v * N + offsets[v][a]: v * N + offsets[v][a + 1]] = a
+    marginals = [apportion(sol.x[v], N) for v in range(inst.n)]
+    # copy j of v takes value a when j lies in ranges[v][a]
+    bounds = [np.concatenate([[0], np.cumsum(m)]) for m in marginals]
+    ranges = [[np.arange(lo, hi) for lo, hi in zip(b[:-1], b[1:])] for b in bounds]
+    alpha_virtual = np.concatenate([np.repeat(np.arange(inst.q), m) for m in marginals])
 
     # class-preserving cross-constraint matchings
-    merge = {}
-    for v in range(inst.n):
-        for b in range(inst.degree(v)):
-            perm = np.empty(N, dtype=np.int64)
-            for a in range(q):
-                lo, hi = int(offsets[v][a]), int(offsets[v][a + 1])
-                block = np.arange(lo, hi)
-                perm[lo:hi] = rng.permutation(block)
-            merge[(v, b)] = perm
-
-    cons_virtual = []
-    incident = {(v, b): [[] for _ in range(N)]
-                for v in range(inst.n) for b in range(inst.degree(v))}
-    for p_src, c in enumerate(inst.constraints):
-        dv = c.distinct_vars()
-        scope = c.scope
-        blocks = [inst.degree_index[u].index(p_src) for u in scope]
-        betas = list(mu_assignments(inst, c))
-        counts = _class_table(inst, p_src, sol.mu[p_src], marginals, N)
+    merge = {(v, cid): np.concatenate([rng.permutation(r) for r in ranges[v]])
+             for v in range(inst.n) for cid in inst.degree_index[v]}
+    pairs = []
+    for cid, c in enumerate(inst.constraints):
+        betas = mu_assignments(inst, c)
+        counts = _class_table(inst, cid, sol.mu[cid], marginals, N)
         # partition each position's value classes into local-assignment groups
-        groups = {}
-        for pos, u in enumerate(dv):
-            for a in range(q):
-                lo, hi = int(offsets[u][a]), int(offsets[u][a + 1])
-                pool = rng.permutation(np.arange(lo, hi))
+        groups = defaultdict(list)  # assignment -> its copies per position
+        for pos, u in enumerate(c.scope):
+            for a, r in enumerate(ranges[u]):
+                pool = rng.permutation(r)
                 start = 0
                 for bi, beta in enumerate(betas):
-                    if beta[pos] != a or counts[bi] == 0:
-                        continue
-                    groups[(pos, bi)] = pool[start:start + int(counts[bi])]
-                    start += int(counts[bi])
-        for bi, beta in enumerate(betas):
-            nb = int(counts[bi])
-            if nb == 0:
-                continue
-            perms = [rng.permutation(nb * T) for _ in dv]
-            for m in range(nb * T):
-                jcid = len(cons_virtual)
-                entry_by_var = {}
-                for pos, u in enumerate(dv):
-                    copy = int(groups[(pos, bi)][int(perms[pos][m]) // T])
-                    final = int(merge[(u, blocks[scope.index(u)])][copy])
-                    entry_by_var[u] = final
-                    incident[(u, blocks[scope.index(u)])][final].append(jcid)
-                entry = tuple(u * N + entry_by_var[u] for u in scope)
-                cons_virtual.append((c.predicate, entry, c.weight))
-    return _finish(inst, N, T, rng, cons_virtual, incident, alpha_virtual, "lp",
-                   params.seed)
+                    if beta[pos] == a and counts[bi]:
+                        groups[bi].append(pool[start:start + counts[bi]])
+                        start += counts[bi]
+        for bi in range(len(betas)):
+            if counts[bi]:
+                pairs += _matched(rng, cid, [merge[u, cid][g]
+                                             for u, g in zip(c.scope, groups[bi])], T)
+    return _finish(inst, N, T, rng, pairs, alpha_virtual)
 
 
 # --- switching ------------------------------------------------------------------
@@ -279,7 +232,9 @@ class TranscriptProcess:
     remaining capacity, partners are drawn with stub weights, and a final
     `complete()` fills in everything else.  With T = 1 the interaction
     distribution matches the direct generators exactly; larger T uses the
-    same stub weights per copy.
+    same stub weights per copy.  With T >= 2 the lp branch can dead-end, a
+    fresh partner being due after every label is seen; it then raises
+    InfeasibleSeedSolution.
 
     The caller must obtain variables through `random_unseen_variable` before
     asking for their constraints, mirroring the restricted access discipline
@@ -288,198 +243,154 @@ class TranscriptProcess:
 
     def __init__(self, source: CspInstance, N: int, T: int, seed: int,
                  branch: str = "star", xstar=None, mustar=None):
-        _check_repeat_free(source)
-        _check_sizes(N, T)
+        _check_blowup(source, N, T)
         self.source = source
         self.N, self.T = int(N), int(T)
         self.rng = np.random.default_rng(seed)
         if branch == "star":
             branch = "opt" if self.rng.random() < 0.5 else "lp"
         self.branch = branch
-        self.xstar = None if xstar is None else np.asarray(xstar, dtype=float)
         self.mustar = mustar
-        if branch == "lp" and (self.xstar is None or mustar is None):
+        if branch == "opt":
+            self.capacity = {(i,): float(self.N) for i in range(source.n)}
+        elif xstar is None or mustar is None:
             raise ValueError("lp branch needs the seed solution")
+        else:
+            xstar = np.asarray(xstar, dtype=float)
+            self.capacity = {(i, a): float(xstar[i, a] * self.N)
+                             for i in range(source.n) for a in range(source.q)}
         self.n_labels = source.n * self.N
         self.rho: dict[int, tuple] = {}
-        self.members: dict[tuple, list[int]] = {}
-        self.counts: dict[tuple, float] = {}
+        self.members: defaultdict[tuple, list[int]] = defaultdict(list)
+        self.counts: Counter = Counter()
         self.revealed: dict[tuple[int, int], int | None] = {}
-        self.block_used: dict[tuple[int, int], set[int]] = {}
+        self.block_used: defaultdict[tuple[int, int], set[int]] = defaultdict(set)
         self.commit: dict[tuple[int, int], tuple] = {}
-        self.committed_count: dict[tuple, float] = {}
+        self.committed_count: Counter = Counter()
         self.constraints: list[Constraint] = []
         self.transcript: list = []
         self.collisions = 0
-        self._betas = {cid: list(mu_assignments(source, c))
+        self._betas = {cid: mu_assignments(source, c)
                        for cid, c in enumerate(source.constraints)}
 
     # -- class machinery --
 
-    def _classes(self):
-        if self.branch == "opt":
-            return [(i,) for i in range(self.source.n)]
-        return [(i, a) for i in range(self.source.n) for a in range(self.source.q)]
+    def _pick(self, weights, what: str) -> int:
+        weights = np.array(weights)
+        if weights.sum() <= 0:
+            raise InfeasibleSeedSolution(f"{what} capacities exhausted")
+        return int(self.rng.choice(len(weights), p=weights / weights.sum()))
 
-    def _capacity(self, key) -> float:
-        if self.branch == "opt":
-            return float(self.N)
-        i, a = key
-        return float(self.xstar[i, a] * self.N)
+    def _unseen_label(self) -> int:
+        if len(self.rho) >= self.n_labels:
+            raise InfeasibleSeedSolution("a fresh partner is due but every variable is seen")
+        while True:
+            label = int(self.rng.integers(0, self.n_labels))
+            if label not in self.rho:
+                return label
+
+    def _place(self, label, key):
+        self.rho[label] = key
+        self.counts[key] += 1
+        self.members[key].append(label)
 
     def _assign_class(self, label):
-        keys = self._classes()
-        weights = np.array([max(0.0, self._capacity(k) - self.counts.get(k, 0.0))
-                            for k in keys])
-        total = weights.sum()
-        if total <= 0:
-            raise InfeasibleSeedSolution("class capacities exhausted")
-        pick = int(self.rng.choice(len(keys), p=weights / total))
-        key = keys[pick]
-        self.rho[label] = key
-        self.counts[key] = self.counts.get(key, 0.0) + 1.0
-        self.members.setdefault(key, []).append(label)
-        return key
+        keys = list(self.capacity)
+        weights = [max(0.0, self.capacity[k] - self.counts[k]) for k in keys]
+        self._place(label, keys[self._pick(weights, "class")])
+
+    def _commit(self, label, block, p_src, pos, beta):
+        if (label, block) not in self.commit:
+            self.commit[label, block] = beta
+            self.committed_count[p_src, pos, beta] += 1
 
     def random_unseen_variable(self) -> int:
         if len(self.rho) >= self.n_labels:
             raise UnseenVariableQuery("all variables already seen")
-        while True:
-            label = int(self.rng.integers(0, self.n_labels))
-            if label not in self.rho:
-                break
+        label = self._unseen_label()
         self._assign_class(label)
         self.transcript.append(("var", label))
         return label
 
     # -- constraint queries --
 
-    def query(self, label: int, p: int, _record=True):
+    def query(self, label: int, p: int):
         if label not in self.rho:
             raise UnseenVariableQuery(
                 f"variable {label} must be obtained through the random-variable query first")
+        jcid = self._reveal(label, p)
+        self.transcript.append(("con", label, p, jcid))
+        return None if jcid is None else self.constraints[jcid]
+
+    def _reveal(self, label, p) -> int | None:
+        """The constraint at slot p of a seen label, drawn on first sight."""
         if (label, p) in self.revealed:
-            jcid = self.revealed[(label, p)]
-            answer = None if jcid is None else self.constraints[jcid]
-            if _record:
-                self.transcript.append(("con", label, p, jcid))
-            return answer
-        key = self.rho[label]
-        i = key[0]
-        deg = self.source.degree(i)
+            return self.revealed[label, p]
+        i = self.rho[label][0]
         b = (p - 1) // self.T
-        if b >= deg:
-            self.revealed[(label, p)] = None
-            if _record:
-                self.transcript.append(("con", label, p, None))
+        if b >= self.source.degree(i):
+            self.revealed[label, p] = None
             return None
         p_src = self.source.degree_index[i][b]
         c = self.source.constraints[p_src]
-        scope = c.scope
-        ell = scope.index(i)
-
+        ell = c.scope.index(i)
         beta = self._draw_beta(label, b, p_src, ell) if self.branch == "lp" else None
-        partners = {}
-        collision = False
-        for pos, u_src in enumerate(scope):
+        scope, partners = [], []
+        for pos, u in enumerate(c.scope):
             if pos == ell:
-                partners[pos] = label
+                scope.append(label)
                 continue
-            q_j = self.source.degree_index[u_src].index(p_src)
-            want = (u_src,) if self.branch == "opt" else (u_src, beta[pos])
-            partner, was_seen = self._draw_partner(want, q_j, p_src, pos, beta)
-            partners[pos] = partner
-            collision = collision or was_seen
+            block = self.source.degree_index[u].index(p_src)
+            key = (u,) if beta is None else (u, beta[pos])
+            partner, was_seen = self._draw_partner(key, block, p_src, pos, beta)
+            scope.append(partner)
+            partners.append((partner, block, was_seen))
         jcid = len(self.constraints)
-        self.constraints.append(Constraint(c.predicate,
-                                           tuple(partners[pos] for pos in range(len(scope))),
-                                           c.weight))
+        self.constraints.append(Constraint(c.predicate, tuple(scope), c.weight))
         # bind index slots for every participant
-        self._use_slot(label, b, p)
-        for pos, u_src in enumerate(scope):
-            if pos == ell:
-                continue
-            partner = partners[pos]
-            q_j = self.source.degree_index[u_src].index(p_src)
-            slot = self._fresh_slot(partner, q_j)
-            self.revealed[(partner, slot)] = jcid
-        self.revealed[(label, p)] = jcid
-        if collision:
-            self.collisions += 1
-        if _record:
-            self.transcript.append(("con", label, p, jcid))
-        return self.constraints[jcid]
+        self.block_used[label, b].add(p)
+        for partner, block, _ in partners:
+            self.revealed[partner, self._fresh_slot(partner, block)] = jcid
+        self.revealed[label, p] = jcid
+        self.collisions += any(was_seen for *_, was_seen in partners)
+        return jcid
 
     def _draw_beta(self, label, block, p_src, ell):
         if (label, block) in self.commit:
-            return self.commit[(label, block)]
+            return self.commit[label, block]
         a = self.rho[label][1]
         betas = self._betas[p_src]
         table = np.asarray(self.mustar[p_src], dtype=float)
-        weights = []
-        for bi, beta in enumerate(betas):
-            if beta[ell] != a or table[bi] <= 0:
-                weights.append(0.0)
-                continue
-            cap = table[bi] * self.N
-            used = self.committed_count.get((p_src, ell, beta), 0.0)
-            weights.append(max(0.0, cap - used))
-        weights = np.array(weights)
-        if weights.sum() <= 0:
-            raise InfeasibleSeedSolution("local class capacities exhausted")
-        pick = int(self.rng.choice(len(betas), p=weights / weights.sum()))
-        beta = betas[pick]
-        self.commit[(label, block)] = beta
-        self.committed_count[(p_src, ell, beta)] = \
-            self.committed_count.get((p_src, ell, beta), 0.0) + 1.0
+        weights = [max(0.0, cap * self.N - self.committed_count[p_src, ell, beta])
+                   if beta[ell] == a and cap > 0 else 0.0 for beta, cap in zip(betas, table)]
+        beta = betas[self._pick(weights, "local class")]
+        self._commit(label, block, p_src, ell, beta)
         return beta
 
-    def _draw_partner(self, class_key, q_j, p_src, pos, beta):
-        candidates = []
-        weights = []
-        for u in self.members.get(class_key, []):
-            if self.branch == "lp":
-                committed = self.commit.get((u, q_j))
-                if committed is not None and committed != beta:
-                    continue
-            free = self.T - len(self.block_used.get((u, q_j), ()))
-            if free > 0:
+    def _draw_partner(self, key, block, p_src, pos, beta):
+        """A label of class `key` for `block`: a seen one by its free slots, or
+        a fresh one by the class's unseen stubs.  Returns (label, was_seen)."""
+        candidates, weights = [], []
+        for u in self.members[key]:
+            free = self.T - len(self.block_used[u, block])
+            if free > 0 and self.commit.get((u, block), beta) == beta:
                 candidates.append(u)
                 weights.append(float(free))
-        unseen_mass = max(0.0, (self._capacity(class_key)
-                                - self.counts.get(class_key, 0.0)) * self.T)
-        total = sum(weights) + unseen_mass
-        r = self.rng.random() * total
-        acc = 0.0
-        for u, wgt in zip(candidates, weights):
-            acc += wgt
-            if r < acc:
-                if self.branch == "lp" and (u, q_j) not in self.commit:
-                    self.commit[(u, q_j)] = beta
-                    self.committed_count[(p_src, pos, beta)] = \
-                        self.committed_count.get((p_src, pos, beta), 0.0) + 1.0
-                return u, True
-        # fresh variable
-        while True:
-            label = int(self.rng.integers(0, self.n_labels))
-            if label not in self.rho:
-                break
-        self.rho[label] = class_key
-        self.counts[class_key] = self.counts.get(class_key, 0.0) + 1.0
-        self.members.setdefault(class_key, []).append(label)
-        if self.branch == "lp":
-            self.commit[(label, q_j)] = beta
-            self.committed_count[(p_src, pos, beta)] = \
-                self.committed_count.get((p_src, pos, beta), 0.0) + 1.0
-        return label, False
-
-    def _use_slot(self, label, block, p):
-        self.block_used.setdefault((label, block), set()).add(p)
+        unseen_mass = max(0.0, (self.capacity[key] - self.counts[key]) * self.T)
+        r = self.rng.random() * (sum(weights) + unseen_mass)
+        seen = next((u for u, acc in zip(candidates, accumulate(weights)) if r < acc), None)
+        partner = seen
+        if seen is None:
+            partner = self._unseen_label()
+            self._place(partner, key)
+        if beta is not None:
+            self._commit(partner, block, p_src, pos, beta)
+        return partner, seen is not None
 
     def _fresh_slot(self, label, block) -> int:
-        used = self.block_used.setdefault((label, block), set())
-        options = [block * self.T + off for off in range(1, self.T + 1)
-                   if block * self.T + off not in used]
+        used = self.block_used[label, block]
+        options = [slot for slot in range(block * self.T + 1, (block + 1) * self.T + 1)
+                   if slot not in used]
         slot = options[int(self.rng.integers(0, len(options)))]
         used.add(slot)
         return slot
@@ -491,16 +402,9 @@ class TranscriptProcess:
         for label in range(self.n_labels):
             if label not in self.rho:
                 self._assign_class(label)
-        for label in range(self.n_labels):
-            i = self.rho[label][0]
-            for p in range(1, self.source.degree(i) * self.T + 1):
-                if (label, p) not in self.revealed:
-                    self.query(label, p, _record=False)
-        index = [[] for _ in range(self.n_labels)]
-        for label in range(self.n_labels):
-            i = self.rho[label][0]
-            for p in range(1, self.source.degree(i) * self.T + 1):
-                index[label].append(self.revealed[(label, p)])
+        index = [[self._reveal(label, p)
+                  for p in range(1, self.source.degree(self.rho[label][0]) * self.T + 1)]
+                 for label in range(self.n_labels)]
         return build_instance(self.source.q, self.source.s, self.source.t * self.T,
                               self.source.w, self.n_labels, self.source.predicates,
                               self.constraints, degree_index=index)

@@ -30,7 +30,7 @@ from . import simplex
 from .csp import Constraint, CspInstance, json_field, json_value
 from .errors import NegativeEntry, SizeLimit
 
-DEFAULT_COLUMN_LIMIT = 50_000
+TABLEAU_BYTE_LIMIT = 2 ** 30
 
 
 @dataclass
@@ -75,14 +75,23 @@ class LinearProgram:
         return np.array(self.objective, dtype=float), A, list(self.senses), np.array(self.rhs)
 
 
+def check_tableau_size(rows: int, cols: int):
+    """Raise SizeLimit when the dense simplex tableau of a rows x cols program,
+    at most rows x (cols + 2 rows + 1) floats with its slack and artificial
+    columns, would exceed TABLEAU_BYTE_LIMIT."""
+    size = rows * (cols + 2 * rows + 1) * 8
+    if size > TABLEAU_BYTE_LIMIT:
+        raise SizeLimit(f"{rows} x {cols} program needs a {size / 2 ** 30:.1f} GiB tableau, "
+                        f"limit {TABLEAU_BYTE_LIMIT / 2 ** 30:g} GiB")
+
+
 def solve_lp(lp: LinearProgram):
     """Solve to optimality; returns (value, {label: value}).
 
     Raises SizeLimit / Infeasible / Unbounded.  The optimum is the first
     optimal basic solution under the solver's deterministic pivot rule.
     """
-    if lp.num_cols > DEFAULT_COLUMN_LIMIT:
-        raise SizeLimit(f"{lp.num_cols} columns > limit {DEFAULT_COLUMN_LIMIT}")
+    check_tableau_size(len(lp.rhs), lp.num_cols)
     c, A, senses, b = lp.dense()
     x, value = simplex.solve(c, A, senses, b, maximize=True)
     return value, {label: float(x[j]) for j, label in enumerate(lp.labels)}

@@ -34,11 +34,11 @@ import numpy as np
 
 from . import simplex
 from .csp import CspInstance, connected_components
-from .errors import NotFeasibleForLp3, SizeLimit
+from .errors import NotFeasibleForLp3
 from .lp import (
-    DEFAULT_COLUMN_LIMIT,
     LinearProgram,
     LpSolution,
+    check_tableau_size,
     infeasibility,
     interleaved,
     marginal_rows,
@@ -257,8 +257,7 @@ class PackingProgram:
 
     def solve_exact(self):
         """Exact optimum of the packing program via the dense solver."""
-        if self.num_cols > DEFAULT_COLUMN_LIMIT:
-            raise SizeLimit(f"{self.num_cols} columns > limit {DEFAULT_COLUMN_LIMIT}")
+        check_tableau_size(self.num_rows, self.num_cols)
         A = np.zeros((self.num_rows, self.num_cols))
         A[self.row, self.col] = self.coef
         z, value = simplex.solve(self.b, A, ["<="] * self.num_rows, self.c)

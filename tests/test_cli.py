@@ -251,6 +251,36 @@ def test_pipeline_dump_golden(tmp_path, name, stage):
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == DUMP_SHA256[name, stage]
 
 
+# sha256 of the gap outputs on the triangle (N 4, T 2, seed 5 for `gap gen`), as of
+# the blow-up generators and transcript process before the one-relabel-step form
+GAP_SHA256 = {
+    "gen-opt": "a6d328c757893ce27ad6271a102593de42405795bf8bfac80a9735f2b5a7bfca",
+    "gen-lp": "f56ebf48c02140fd24baae0387053f15926781f9287fd4bc8f05f3d648cd755d",
+    "gen-lp-alpha": "ed64f907ef6b072241c006c1dab43bb3d0da4a1b79aeebe20280f899dc56940a",
+    "collide": "d0075cee4e2c618feb47e79b6ff756bdbfd5c8b06c7fe2ccd12ab7671b6e6d6d",
+    "verify": "a6c67e366566b1bdf6ae14b20022a2183af24ad6b5c3cc1ca8392afba70e53c6",
+}
+
+
+def test_gap_outputs_golden(tri_path, tmp_path):
+    out, alpha = str(tmp_path / "out"), str(tmp_path / "alpha.json")
+    gen = ["gap", "gen", "--seed-instance", tri_path, "--N", "4", "--T", "2", "--seed", "5"]
+    runs = {
+        "gen-opt": gen + ["--mode", "opt", "--out", out],
+        "gen-lp": gen + ["--mode", "lp", "--out", out, "--alpha-out", alpha],
+        "collide": ["gap", "collide", "--seed-instance", tri_path, "--N", "60",
+                    "--tau", "2,4", "--trials", "20", "--seed", "3", "--csv", out],
+        "verify": ["gap", "verify", "--seed-instance", tri_path, "--N", "2", "--T", "2",
+                   "--trials", "2", "--seed", "3", "--csv", out],
+    }
+    got = {}
+    for name, argv in runs.items():
+        assert cli.main(argv) == 0
+        got[name] = hashlib.sha256(open(out, "rb").read()).hexdigest()
+    got["gen-lp-alpha"] = hashlib.sha256(open(alpha, "rb").read()).hexdigest()
+    assert got == GAP_SHA256
+
+
 def test_gap_verify_passes_budget_to_every_brute_force(tri_path, monkeypatch):
     budgets = []
     real = cli.brute_force_opt

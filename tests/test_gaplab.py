@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import signal
 import zlib
 from collections import Counter
 
@@ -35,6 +38,21 @@ def triangle_solution():
     x = np.full((3, 2), 0.5)
     mu = {c: np.array([0.0, 0.5, 0.5, 0.0]) for c in range(3)}
     return x, mu
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail with TimeoutError, instead of hanging, after `seconds`."""
+    def hang(*_):
+        raise TimeoutError("the transcript process hangs")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestApportion:
@@ -209,6 +227,17 @@ class TestProcess:
                     for seed in range(30)}
         assert branches == {"opt", "lp"}
 
+    def test_lp_dead_end_raises_instead_of_hanging(self):
+        # at T = 2 a fresh partner falls due after every label is seen
+        x = np.array([[2 / 3, 1 / 3], [1 / 3, 2 / 3]])
+        mu = {0: np.array([1 / 3, 1 / 3, 0.0, 1 / 3])}
+        proc = TranscriptProcess(single_edge(), 3, 2, 1, branch="lp", xstar=x, mustar=mu)
+        with deadline(5), pytest.raises(InfeasibleSeedSolution):
+            v = proc.random_unseen_variable()
+            proc.query(v, 1)
+            proc.query(v, 2)
+            proc.complete()
+
     @pytest.mark.slow
     def test_process_matches_generator_distribution(self):
         # two-sample TV on labeled instances; the same-size noise floor for
@@ -268,3 +297,37 @@ class TestCollision:
             emp, bound = collision_experiment(corpus.triangle(), sol, N=2000, T=1,
                                               tau=tau, trials=300, seed=tau)
             assert emp <= bound + 1e-12
+
+
+# sha256 of the generators' instances, index slots, relabellings and planted
+# assignments, and of the processes' transcripts, collisions and completed
+# instances over a seed sweep, as recorded before the generators shared one
+# relabel step, when the two lp processes that now raise hung instead
+GOLDEN_SHA256 = "6258b3dfdca4502083a10ecf7ce15c7fa3041046b7d806215e1f932a5a3f86dd"
+
+
+def test_outputs_golden():
+    record = []
+    with deadline(30):
+        for source, (x, mu), N in ((single_edge(), edge_solution(), 5),
+                                   (corpus.triangle(), triangle_solution(), 4)):
+            for seed in range(4):
+                for gen in (gen_opt_instance, gen_lp_instance):
+                    J = gen(GapParams(source, x, mu, N, 2, seed))
+                    record.append((J.instance.constraints, J.instance.degree_index,
+                                   J.label_perm.tolist(),
+                                   None if J.alpha is None else J.alpha.tolist()))
+                for branch in ("opt", "lp"):
+                    proc = TranscriptProcess(source, N, 2, seed, branch=branch,
+                                             xstar=x, mustar=mu)
+                    try:
+                        for _ in range(2):
+                            v = proc.random_unseen_variable()
+                            proc.query(v, 1)
+                            proc.query(v, 3)
+                        inst = proc.complete()
+                        record.append((proc.transcript, inst.constraints, inst.degree_index,
+                                       proc.collisions))
+                    except InfeasibleSeedSolution:
+                        record.append("InfeasibleSeedSolution")
+    assert hashlib.sha256(repr(record).encode()).hexdigest() == GOLDEN_SHA256

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from csplp import corpus
-from csplp import lp as lp_module
 from csplp.csp import Constraint, brute_force_opt, build_instance
 from csplp.errors import NegativeEntry, SizeLimit
 from csplp.lp import (
@@ -78,10 +77,13 @@ class TestSolve:
         value, cols = solve_lp(lp)
         assert value == pytest.approx(1.0, abs=1e-9)
 
-    def test_column_limit(self, tri, monkeypatch):
-        monkeypatch.setattr(lp_module, "DEFAULT_COLUMN_LIMIT", 4)
+    def test_tableau_size_limit(self):
+        # 20 000 empty "<=" rows over 10 columns: a tableau of about 6 GB
+        rows, empty = 20_000, np.zeros(0, dtype=np.int64)
+        lp = LinearProgram([("z", j) for j in range(10)], np.ones(10), [()] * rows,
+                           ["<="] * rows, np.ones(rows), empty, empty, np.zeros(0))
         with pytest.raises(SizeLimit):
-            solve_lp(build_basic_lp(tri))
+            solve_lp(lp)
 
     def test_relaxation_dominates_opt_small_corpus(self):
         for seed in range(25):

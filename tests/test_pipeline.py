@@ -6,9 +6,10 @@ from scipy.optimize import linprog
 
 from csplp import corpus
 from csplp.csp import build_instance, Constraint
-from csplp.errors import NotFeasibleForLp3
+from csplp.errors import NotFeasibleForLp3, SizeLimit
 from csplp.lp import build_basic_lp, infeasibility, solve_basic_lp, solve_lp
 from csplp.pipeline import (
+    PackingProgram,
     PipelineParams,
     check_lp3_feasible,
     exact_packing_optimum,
@@ -93,7 +94,6 @@ class TestPacking:
 class TestNormalize:
     def test_toy_gamma_d(self):
         # two columns with coefficient rows (1,2) and (0,3): max row sum 3
-        from csplp.pipeline import PackingProgram
         pp = PackingProgram(
             col_labels=["a", "b"],
             row_tags=[("t", 0), ("t", 1)],
@@ -104,6 +104,14 @@ class TestNormalize:
             col_scale=np.ones(2),
         )
         assert pp.gamma_d == 3.0
+
+    def test_exact_solve_size_limit(self):
+        # 20 000 empty inequalities over 10 columns: a tableau of about 6 GB
+        rows, empty = 20_000, np.zeros(0, dtype=np.int64)
+        pp = PackingProgram([("z", j) for j in range(10)], [()] * rows, empty, empty,
+                            np.zeros(0), np.ones(rows), np.ones(10))
+        with pytest.raises(SizeLimit):
+            pp.solve_exact()
 
     def test_single_stats_and_restricted_form(self, single):
         params = params_for(single, 0.25, C=100.0)

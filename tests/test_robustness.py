@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from csplp import corpus
 from csplp.csp import build_instance, Constraint
@@ -81,6 +83,42 @@ class TestSurgery:
             assert np.max(np.abs(out - row)) <= 2 * eps + 1e-12
 
 
+def assert_smooth_contract(q, k, mu, x):
+    """smooth's contract at the measured violation of the pair: h >= 0,
+    sum h = 1, mixed marginals exact at 1e-9, and ||mu - h||_1 <= 2 delta."""
+    eps = max(float(np.max(np.abs(table_marginal(mu, q, k, i) - x[i]))) for i in range(k))
+    h, delta = smooth(mu, x, eps)
+    assert (h >= 0).all()
+    assert h.sum() == pytest.approx(1.0, abs=1e-9)
+    for i in range(k):
+        want = (1 - delta) * x[i] + delta / q
+        assert np.allclose(table_marginal(h, q, k, i), want, atol=1e-9)
+    assert np.abs(mu - h).sum() <= 2 * delta + 1e-9
+
+
+@st.composite
+def smoothing_pairs(draw):
+    """A table over [q]^k and k target rows, drawn from point masses, ties,
+    near-zero entries and, half the time, targets near the table's own marginals."""
+    q, k = draw(st.sampled_from([2, 3])), draw(st.integers(1, 3))
+    entry = st.sampled_from([0.0, 1e-12, 1e-6, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+    def distribution(size):
+        raw = np.array(draw(st.lists(entry, min_size=size, max_size=size)))
+        assume(raw.sum() > 0)
+        return raw / raw.sum()
+
+    mu = distribution(q ** k)
+    if draw(st.booleans()):
+        shift = draw(st.sampled_from([0.0, 1e-9, 1e-4, 1e-2]))
+        x = np.vstack([table_marginal(mu, q, k, i) for i in range(k)])
+        x = (1 - shift) * x + shift * np.vstack([distribution(q) for _ in range(k)])
+        x /= x.sum(axis=1, keepdims=True)
+    else:
+        x = np.vstack([distribution(q) for _ in range(k)])
+    return q, k, mu, x
+
+
 class TestSmooth:
     def test_uniform_fixed_point(self):
         mu = np.full(4, 0.25)
@@ -100,26 +138,19 @@ class TestSmooth:
         assert np.allclose(h, mu, atol=1e-12)
 
     def test_postconditions_random_pairs(self):
-        # the four contract clauses at 1e-9 over a thousand random pairs
+        # the four contract clauses over a thousand random pairs
         rng = np.random.default_rng(42)
-        basis_cache = {}
         for _ in range(1000):
             q = int(rng.integers(2, 4))
             k = int(rng.integers(1, 4))
             mu = rng.dirichlet(np.ones(q ** k))
             x = np.vstack([rng.dirichlet(np.ones(q)) for _ in range(k)])
-            # measured violation of the pair
-            eps = max(
-                float(np.max(np.abs(table_marginal(mu, q, k, i) - x[i])))
-                for i in range(k)
-            )
-            h, delta = smooth(mu, x, eps)
-            assert (h >= -1e-9).all()
-            assert h.sum() == pytest.approx(1.0, abs=1e-9)
-            for i in range(k):
-                want = (1 - delta) * x[i] + delta / q
-                assert np.allclose(table_marginal(h, q, k, i), want, atol=1e-9)
-            assert np.abs(mu - h).sum() <= 2 * delta + 1e-9
+            assert_smooth_contract(q, k, mu, x)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(pair=smoothing_pairs())
+    def test_contract_on_adversarial_pairs(self, pair):
+        assert_smooth_contract(*pair)
 
     def test_rejects_non_distribution(self):
         with pytest.raises(NotADistribution):
