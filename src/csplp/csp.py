@@ -58,11 +58,13 @@ class Constraint:
 
     def distinct_vars(self) -> tuple[int, ...]:
         """Distinct scope variables in order of first occurrence."""
-        seen: list[int] = []
-        for v in self.scope:
-            if v not in seen:
-                seen.append(v)
-        return tuple(seen)
+        # computed on first use and kept in the instance dict, which equality,
+        # hashing and repr (fields only) do not read
+        cache = self.__dict__
+        dv = cache.get("_distinct_vars")
+        if dv is None:
+            dv = cache["_distinct_vars"] = tuple(dict.fromkeys(self.scope))
+        return dv
 
 
 @dataclass(frozen=True)

@@ -78,7 +78,10 @@ class LinearProgram:
 def check_tableau_size(rows: int, cols: int):
     """Raise SizeLimit when the dense simplex tableau of a rows x cols program,
     at most rows x (cols + 2 rows + 1) floats with its slack and artificial
-    columns, would exceed TABLEAU_BYTE_LIMIT."""
+    columns and rhs, would exceed TABLEAU_BYTE_LIMIT.  The solver builds that
+    one array and pivots on it in place, so besides the caller's rows x cols
+    matrix its peak is the tableau plus temporaries of at most
+    simplex.ROW_BLOCK rows."""
     size = rows * (cols + 2 * rows + 1) * 8
     if size > TABLEAU_BYTE_LIMIT:
         raise SizeLimit(f"{rows} x {cols} program needs a {size / 2 ** 30:.1f} GiB tableau, "

@@ -1,11 +1,17 @@
 """Self-contained dense two-phase simplex.
 
 Solves   max c^T x   s.t.  A x {<=,=,>=} b,  x >= 0
-on a dense numpy tableau.  Pricing uses Dantzig's rule while the objective
-makes progress and falls back to Bland's rule after a run of degenerate
-pivots, which keeps the method anti-cycling and still fast on the mid-size
-programs this package produces.  Everything is deterministic, so repeated
-solves return the same basic solution.
+on one dense numpy tableau that holds A, the slack and artificial columns
+and b.  A pivot updates in place only the rows whose entry in the pivot
+column is nonzero, at most ROW_BLOCK rows per step; on the sparse programs
+this package builds that is a few rows out of hundreds.  Each updated entry
+gets the arithmetic of a full rank-one update, T[r, k] - f * T[row, k], and
+a skipped row (f = 0) would keep its nonzero entries, so the pivot sequence
+and the solution are those of the full update.  Pricing uses Dantzig's rule while the objective makes
+progress and falls back to Bland's rule after a run of degenerate pivots,
+which keeps the method anti-cycling and still fast on the mid-size programs
+this package produces.  Everything is deterministic, so repeated solves
+return the same basic solution.
 """
 
 from __future__ import annotations
@@ -17,13 +23,14 @@ from .errors import Infeasible, IterationLimit, Unbounded
 PIVOT_EPS = 1e-9
 FEAS_EPS = 1e-7
 STALL_LIMIT = 40  # degenerate pivots before switching to Bland pricing
+ROW_BLOCK = 64  # rows per pivot update step, which bounds its temporaries
+FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
 
 
 class _Tableau:
-    def __init__(self, A, b, basis):
-        m, _ = A.shape
-        self.T = np.hstack([A, b.reshape(m, 1)])
-        self.basis = list(basis)
+    def __init__(self, T, basis):
+        self.T = T  # constraint rows, rhs in the last column
+        self.basis = basis
         self.obj = None  # reduced-cost row, rhs in last slot
 
     def set_objective(self, cost):
@@ -37,47 +44,40 @@ class _Tableau:
     def pivot(self, row, col):
         T = self.T
         T[row] /= T[row, col]
-        factors = T[:, col].copy()
-        factors[row] = 0.0
-        T -= np.outer(factors, T[row])
+        rows = T[:, col].nonzero()[0]
+        rows = rows[rows != row]
+        for start in range(0, len(rows), ROW_BLOCK):
+            block = rows[start:start + ROW_BLOCK]
+            T[block] -= np.multiply.outer(T[block, col], T[row])
         self.obj -= self.obj[col] * T[row]
         self.obj[col] = 0.0  # kill roundoff dust in the pivot column
         self.basis[row] = col
 
-    def minimize(self, allowed_cols, max_iters):
-        """Run simplex to optimality of the installed objective."""
-        T, obj = self.T, self.obj
+    def minimize(self, n_priced, max_iters):
+        """Run simplex to optimality of the installed objective, pricing only
+        the first n_priced columns."""
+        T = self.T
         stall = 0
-        last_value = obj[-1]
+        last_value = self.obj[-1]
         for _ in range(max_iters):
-            costs = obj[:-1]
+            costs = self.obj[:n_priced]
             if stall < STALL_LIMIT:
-                j = -1
-                best = -PIVOT_EPS
-                cand = np.where(allowed_cols & (costs < -PIVOT_EPS))[0]
-                if cand.size:
-                    j = int(cand[np.argmin(costs[cand])])
+                j = int(costs.argmin())  # Dantzig: most negative, first index
             else:
-                # Bland: smallest improving index
-                cand = np.where(allowed_cols & (costs < -PIVOT_EPS))[0]
-                j = int(cand[0]) if cand.size else -1
-            if j < 0:
+                j = int((costs < -PIVOT_EPS).argmax())  # Bland: first improving index
+            if not costs[j] < -PIVOT_EPS:
                 return
             col = T[:, j]
-            pos = col > PIVOT_EPS
-            if not pos.any():
+            pos = (col > PIVOT_EPS).nonzero()[0]
+            if not pos.size:
                 raise Unbounded("improving direction with no blocking row")
-            ratios = np.full(len(col), np.inf)
-            ratios[pos] = T[pos, -1] / col[pos]
-            rmin = ratios.min()
-            ties = np.where(ratios <= rmin + 1e-12)[0]
+            ratios = T[pos, -1] / col[pos]
+            ties = pos[ratios <= ratios.min() + 1e-12]
             # leaving rule: among minimal ratios prefer the smallest basis label
-            row = int(ties[np.argmin([self.basis[r] for r in ties])])
-            self.pivot(row, j)
-            obj = self.obj
-            if obj[-1] < last_value - 1e-12:
+            self.pivot(int(min(ties, key=self.basis.__getitem__)), j)
+            if self.obj[-1] < last_value - 1e-12:
                 stall = 0
-                last_value = obj[-1]
+                last_value = self.obj[-1]
             else:
                 stall += 1
         raise IterationLimit("simplex iteration limit exceeded")
@@ -91,7 +91,7 @@ def solve(c, A, senses, b, maximize=True, max_iters=None):
     """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).copy()
+    b = np.asarray(b, dtype=float)
     m, n = A.shape if A.size else (len(b), len(c))
     if m == 0:
         if maximize and (c > PIVOT_EPS).any():
@@ -99,82 +99,64 @@ def solve(c, A, senses, b, maximize=True, max_iters=None):
         if not maximize and (c < -PIVOT_EPS).any():
             raise Unbounded("no constraints on a negative-cost column")
         return np.zeros(n), 0.0
-    A = A.copy()
-    senses = list(senses)
-    for i in range(m):
-        if b[i] < 0:
-            A[i] *= -1
-            b[i] *= -1
-            senses[i] = {"<=": ">=", ">=": "<=", "=": "="}[senses[i]]
-
-    n_le = sum(1 for s in senses if s == "<=")
-    n_ge = sum(1 for s in senses if s == ">=")
-    n_eq = m - n_le - n_ge
-    slack_at = {}
-    art_rows = []
-    cols = n + n_le + n_ge + (n_ge + n_eq)
-    full = np.zeros((m, cols))
-    full[:, :n] = A
-    si = n
-    ai = n + n_le + n_ge
-    basis = [0] * m
+    # rows with a negative rhs are negated, with their sense flipped
+    flip = b < 0
+    senses = [FLIPPED[s] if f else s for s, f in zip(senses, flip)]
+    n_le = senses.count("<=")
+    art_start = n + n_le + senses.count(">=")
+    cols = art_start + m - n_le
+    T = np.zeros((m, cols + 1))
+    sign = np.where(flip, -1.0, 1.0)
+    np.multiply(A, sign[:, None], out=T[:, :n])
+    np.multiply(b, sign, out=T[:, -1])
+    basis = []
+    si, ai = n, art_start
     for i, s in enumerate(senses):
         if s == "<=":
-            full[i, si] = 1.0
-            basis[i] = si
+            T[i, si] = 1.0
+            basis.append(si)
             si += 1
-        elif s == ">=":
-            full[i, si] = -1.0
-            slack_at[i] = si
-            si += 1
-            full[i, ai] = 1.0
-            basis[i] = ai
-            art_rows.append(i)
-            ai += 1
         else:
-            full[i, ai] = 1.0
-            basis[i] = ai
-            art_rows.append(i)
+            if s == ">=":
+                T[i, si] = -1.0
+                si += 1
+            T[i, ai] = 1.0
+            basis.append(ai)
             ai += 1
 
-    tab = _Tableau(full, b, basis)
-    n_art = n_ge + n_eq
+    tab = _Tableau(T, basis)
     iters = max_iters or (200 * (m + cols) + 20_000)
 
-    if n_art:
+    if cols > art_start:
         phase1 = np.zeros(cols)
-        phase1[n + n_le + n_ge:] = 1.0
+        phase1[art_start:] = 1.0
         tab.set_objective(phase1)
-        allowed = np.ones(cols, dtype=bool)
-        tab.minimize(allowed, iters)
+        tab.minimize(cols, iters)
         if -tab.obj[-1] > FEAS_EPS * max(1.0, abs(b).max()):
             raise Infeasible(f"phase-1 residual {-tab.obj[-1]:.3e}")
         # drive remaining artificials out of the basis, drop redundant rows
-        art_start = n + n_le + n_ge
         drop = []
         for r in range(m):
             if tab.basis[r] >= art_start:
-                row = tab.T[r, :art_start]
+                row = T[r, :art_start]
                 j = int(np.argmax(np.abs(row)))
                 if abs(row[j]) > PIVOT_EPS:
                     tab.pivot(r, j)
                 else:
                     drop.append(r)
         if drop:
-            keep = [r for r in range(tab.T.shape[0]) if r not in drop]
-            tab.T = tab.T[keep]
+            keep = [r for r in range(m) if r not in drop]
+            for i, r in enumerate(keep):  # compact in place, with no second tableau
+                T[i] = T[r]
+            tab.T = T[:len(keep)]
             tab.basis = [tab.basis[r] for r in keep]
 
     cost = np.zeros(cols)
     cost[:n] = -c if maximize else c
     tab.set_objective(cost)
-    allowed = np.ones(cols, dtype=bool)
-    allowed[n + n_le + n_ge:] = False  # artificials stay out
-    tab.minimize(allowed, iters)
+    tab.minimize(art_start, iters)  # artificials stay out
 
     x = np.zeros(cols)
-    for r, j in enumerate(tab.basis):
-        x[j] = tab.T[r, -1]
-    x = np.where(np.abs(x) < 1e-12, 0.0, x)
-    value = float(c @ x[:n])
-    return x[:n], value
+    x[tab.basis] = tab.T[:, -1]
+    x = np.where(np.abs(x) < 1e-12, 0.0, x)[:n]
+    return x, float(c @ x)
