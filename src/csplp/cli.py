@@ -48,7 +48,7 @@ def _write_csv(path, command, seed, columns, rows):
 def _lp_oracle(instance, epsilon, cap):
     pp = PipelineParams.for_instance(instance, epsilon)
     solver = LocalSolverParams(epsilon=epsilon, rounds_cap=cap)
-    return LpOracle(ConstraintOracle(instance), pp, solver), pp
+    return LpOracle(ConstraintOracle(instance), pp, solver)
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -127,7 +127,7 @@ def _column_text(name):
 
 def cmd_local_lp(args):
     inst = load_instance(args.instance)
-    oracle, _ = _lp_oracle(inst, args.epsilon, args.rounds_cap)
+    oracle = _lp_oracle(inst, args.epsilon, args.rounds_cap)
     rows = []
     if args.query:
         name = _parse_column(args.query)
@@ -148,7 +148,7 @@ def cmd_local_lp(args):
 def _round_trial(task):
     path, lp_eps, cap, epsilon, trial, seed = task
     inst = load_instance(path)
-    oracle, _ = _lp_oracle(inst, lp_eps, cap)
+    oracle = _lp_oracle(inst, lp_eps, cap)
     base = ConstraintOracle(inst)
     res = round_assignment(base, oracle, epsilon, seed)
     val = evaluate(inst, res.full_assignment(inst.n))
@@ -188,7 +188,7 @@ def cmd_round(args):
 def _tester_trial(task):
     path, lp_eps, cap, epsilon, delta, trial, seed = task
     inst = load_instance(path)
-    oracle, _ = _lp_oracle(inst, lp_eps, cap)
+    oracle = _lp_oracle(inst, lp_eps, cap)
     verdict = test_satisfiability(ConstraintOracle(inst), oracle, epsilon, delta, seed)
     return (trial, seed, int(verdict))
 

@@ -67,15 +67,15 @@ def single() -> CspInstance:
 
 # --- random bounded-degree instances ----------------------------------------
 
-def random_instance(seed, *, q=2, s=2, t=3, w=1.0, n=6, m=5, arities=None,
-                     weights_vary=False) -> CspInstance:
+def random_instance(seed, *, q=2, s=2, t=3, w=1.0, n=6, m=5,
+                    weights_vary=False) -> CspInstance:
     """Random instance: random predicates applied to random repeat-free scopes.
 
     Scopes are drawn uniformly among variable tuples whose members still have
     an index slot free, so the degree bound always holds.
     """
     rng = np.random.default_rng(seed)
-    arities = list(arities or range(1, s + 1))
+    arities = list(range(1, s + 1))
     npred = max(2, min(4, m))
     preds = [random_predicate(rng, q, int(rng.choice(arities)), f"p{i}") for i in range(npred)]
     degree = [0] * n

@@ -329,29 +329,12 @@ def connected_components(instance: CspInstance):
             ra, rb = find(dv[0]), find(u)
             if ra != rb:
                 parent[rb] = ra
-    groups: dict[int, list[int]] = {}
+    groups: dict[int, tuple[list[int], list[int]]] = {}
     for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    comps = []
-    for root in sorted(groups):
-        vs = sorted(groups[root])
-        vset = set(vs)
-        cids = [cid for cid, c in enumerate(instance.constraints) if c.scope[0] in vset]
-        comps.append((vs, cids))
-    return comps
-
-
-def subinstance(instance: CspInstance, variables, constraint_ids) -> CspInstance:
-    """Instance induced on a variable subset (ids renumbered in given order)."""
-    remap = {v: i for i, v in enumerate(variables)}
-    cons = [
-        Constraint(c.predicate, tuple(remap[v] for v in c.scope), c.weight)
-        for c in (instance.constraints[cid] for cid in constraint_ids)
-    ]
-    return build_instance(
-        instance.q, instance.s, instance.t, instance.w, len(variables),
-        instance.predicates, cons,
-    )
+        groups.setdefault(find(v), ([], []))[0].append(v)
+    for cid, c in enumerate(instance.constraints):
+        groups[find(c.scope[0])][1].append(cid)
+    return [groups[root] for root in sorted(groups)]
 
 
 # --- JSON format ------------------------------------------------------------

@@ -123,20 +123,22 @@ def mu_assignments(instance: CspInstance, c: Constraint):
 
 
 @functools.lru_cache(maxsize=None)
-def _truth_index(q: int, pattern: tuple):
-    """Truth-table index of every table entry of a scope whose positions hold
-    the distinct variables `pattern` (the first scope position most significant)."""
+def _table_truth(q: int, pattern: tuple, truth_table: tuple):
+    """P(beta) per table entry (`mu_assignments` order) of a scope whose
+    positions hold the distinct variables `pattern` (the first scope position
+    most significant).  Cached and shared, so the array is read-only."""
     grid = _assignment_grid(q, max(pattern) + 1)[1]
     index = grid[:, list(pattern)] @ q ** np.arange(len(pattern))[::-1]
-    index.flags.writeable = False
-    return index
+    values = np.asarray(truth_table)[index]
+    values.flags.writeable = False
+    return values
 
 
 def table_objective(instance: CspInstance, c: Constraint) -> np.ndarray:
     """w * P(beta) per entry of the constraint's table (`mu_assignments` order)."""
     dv = c.distinct_vars()
-    index = _truth_index(instance.q, tuple(map(dv.index, c.scope)))
-    return c.weight * np.asarray(instance.predicates[c.predicate].truth_table)[index]
+    return c.weight * _table_truth(instance.q, tuple(map(dv.index, c.scope)),
+                                   instance.predicates[c.predicate].truth_table)
 
 
 class MarginalRows(NamedTuple):
@@ -303,36 +305,6 @@ def marginal_violation(instance: CspInstance, x: np.ndarray, mu: dict) -> float:
             marg = table_marginal(mu[cid], instance.q, len(dv), pos)
             worst = max(worst, float(np.max(np.abs(marg - x[v]))))
     return worst
-
-
-# --- oracle view of a materialized solution ----------------------------------
-
-class SolutionLpOracle:
-    """Serve LP values out of a full solution; used to drive the rounding
-    scheme from an exactly solved program."""
-
-    def __init__(self, instance: CspInstance, sol: LpSolution):
-        self.instance = instance
-        self.sol = sol
-        self.query_count = 0
-        self._flat_index = {}
-        for cid, c in enumerate(instance.constraints):
-            for j, beta in enumerate(mu_assignments(instance, c)):
-                self._flat_index[(cid, beta)] = j
-
-    def query(self, name) -> float:
-        self.query_count += 1
-        kind = name[0]
-        if kind == "x":
-            _, v, a = name
-            return float(self.sol.x[v, a])
-        if kind == "mu":
-            _, cid, beta = name
-            return float(self.sol.mu[cid][self._flat_index[(cid, beta)]])
-        raise ValueError(f"unknown column name {name}")
-
-    def query_many(self, names) -> tuple[list[float], list[int]]:
-        return [self.query(name) for name in names], [1] * len(names)
 
 
 # --- JSON -------------------------------------------------------------------

@@ -12,7 +12,7 @@ infeasibility in objective value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 
@@ -21,27 +21,15 @@ from .errors import NotADistribution, ZeroRow
 from .lp import LpSolution, infeasibility, marginal_violation, value_of
 
 
-@dataclass(frozen=True)
-class CharacterBasis:
-    """Orthonormal basis of functions [q] -> R with the constant function first.
+@functools.lru_cache(maxsize=None)
+def build_basis(q: int) -> np.ndarray:
+    """Orthonormal characters of [q] as a q x q array, chi[i, a] = chi_i(a).
 
-    Orthonormality is under the uniform inner product E_a[f(a) g(a)].  The
-    table is chi[i, a] = chi_i(a); max |chi_i(a)| <= sqrt(q).
-    """
-
-    q: int
-    table: np.ndarray
-
-    def check(self, tol=1e-12) -> float:
-        gram = self.table @ self.table.T / self.q
-        return float(np.max(np.abs(gram - np.eye(self.q))))
-
-
-def build_basis(q: int) -> CharacterBasis:
-    """Gram-Schmidt over the indicator functions, constant function first.
-
-    Signs are fixed by requiring the first nonzero entry of each character
-    to be positive, so the basis is identical across platforms.
+    Gram-Schmidt over the indicator functions, constant function first, under
+    the uniform inner product E_a[f(a) g(a)]; max |chi_i(a)| <= sqrt(q).  Signs
+    are fixed by requiring the first nonzero entry of each character to be
+    positive, so the basis is identical across platforms.  Cached and shared,
+    so the array is read-only.
     """
     if q < 2:
         raise ValueError("q must be at least 2")
@@ -63,42 +51,23 @@ def build_basis(q: int) -> CharacterBasis:
         if u[nz] < 0:
             u = -u
         basis.append(u)
-    return CharacterBasis(q, np.vstack(basis))
+    table = np.vstack(basis)
+    table.flags.writeable = False
+    return table
 
 
-@dataclass
-class LocalTable:
-    """A function [q]^k -> R stored flat, lexicographic, first axis most
-    significant.  `hat` holds the coefficient table in the product basis when
-    computed."""
+def transform(values: np.ndarray, matrix: np.ndarray, k: int) -> np.ndarray:
+    """Apply the q x q `matrix` along every axis of a flat [q]^k table
+    (lexicographic, first axis most significant).
 
-    q: int
-    k: int
-    values: np.ndarray
-    hat: np.ndarray | None = None
-
-
-def hat(table: LocalTable, basis: CharacterBasis | None = None) -> LocalTable:
-    """Coefficient transform: hat_f(sigma) = sum_beta f(beta) chi_sigma(beta)."""
-    basis = basis or build_basis(table.q)
-    q, k = table.q, table.k
-    arr = table.values.reshape((q,) * k).astype(float)
+    With the basis this is the coefficient transform
+    hat_f(sigma) = sum_beta f(beta) chi_sigma(beta); with basis.T / q it is
+    its inverse, f(beta) = E_sigma[hat_f(sigma) chi_sigma(beta)].
+    """
+    arr = values.reshape((len(matrix),) * k).astype(float)
     for axis in range(k):
-        arr = np.moveaxis(np.tensordot(basis.table, arr, axes=([1], [axis])), 0, axis)
-    return LocalTable(q, k, table.values.copy(), arr.reshape(-1))
-
-
-def unhat(table: LocalTable, basis: CharacterBasis | None = None) -> LocalTable:
-    """Inverse transform: f(beta) = E_sigma[hat_f(sigma) chi_sigma(beta)]."""
-    basis = basis or build_basis(table.q)
-    q, k = table.q, table.k
-    if table.hat is None:
-        raise ValueError("no coefficient table present")
-    inv = basis.table.T / q
-    arr = table.hat.reshape((q,) * k).astype(float)
-    for axis in range(k):
-        arr = np.moveaxis(np.tensordot(inv, arr, axes=([1], [axis])), 0, axis)
-    return LocalTable(q, k, arr.reshape(-1), table.hat.copy())
+        arr = np.moveaxis(np.tensordot(matrix, arr, axes=([1], [axis])), 0, axis)
+    return arr.reshape(-1)
 
 
 # --- surgery -----------------------------------------------------------------
@@ -121,7 +90,7 @@ def surgery(x: np.ndarray) -> np.ndarray:
 # --- smoothing ---------------------------------------------------------------
 
 def smooth(mu_table: np.ndarray, x_rows: np.ndarray, eps: float,
-           basis: CharacterBasis | None = None, delta: float | None = None):
+           delta: float | None = None):
     """Rewrite one local table to carry exact marginals.
 
     `mu_table` is a distribution over [q]^k (flat); `x_rows` is the k x q
@@ -144,20 +113,15 @@ def smooth(mu_table: np.ndarray, x_rows: np.ndarray, eps: float,
     if np.max(np.abs(x_rows.sum(axis=1) - 1.0)) > 1e-9:
         raise ValueError("marginal targets must sum to one exactly")
 
-    basis = basis or build_basis(q)
+    basis = build_basis(q)
     if delta is None:
         delta = min(1.0, k * q ** 3 * eps)
 
-    f = LocalTable(q, k, mu_table)
-    fh = hat(f, basis).hat.reshape((q,) * k)
+    fh = transform(mu_table, basis, k).reshape((q,) * k)
     # overwrite the degree-<=1 coefficients with those of the target marginals
     for i in range(k):
-        g_hat = basis.table @ x_rows[i]          # hat of a -> x[i, a]
-        idx = [0] * k
-        for sigma in range(q):
-            idx[i] = sigma
-            fh[tuple(idx)] = g_hat[sigma]
-    fprime = unhat(LocalTable(q, k, mu_table, fh.reshape(-1)), basis).values
+        fh[(0,) * i + (slice(None),) + (0,) * (k - 1 - i)] = basis @ x_rows[i]
+    fprime = transform(fh, basis.T / q, k)
     uniform = 1.0 / q ** k
     h = (1.0 - delta) * fprime + delta * uniform
     h = np.where(np.abs(h) < 1e-15, np.maximum(h, 0.0), h)
@@ -166,8 +130,7 @@ def smooth(mu_table: np.ndarray, x_rows: np.ndarray, eps: float,
 
 # --- full repair -------------------------------------------------------------
 
-def repair_to_feasible(instance: CspInstance, sol: LpSolution,
-                       measured_eps: float | None = None):
+def repair_to_feasible(instance: CspInstance, sol: LpSolution):
     """Produce an exactly feasible solution from an eps-infeasible one.
 
     Returns (repaired LpSolution, report).  The same mixing weight delta is
@@ -179,14 +142,12 @@ def repair_to_feasible(instance: CspInstance, sol: LpSolution,
     guarantee needs the violation relative to the corrected marginals) and by
     the largest distinct-variable count among the constraints.
     """
-    if measured_eps is None:
-        measured_eps = infeasibility(instance, sol)
+    measured_eps = infeasibility(instance, sol)
     x_prime = surgery(sol.x)
     post = marginal_violation(instance, x_prime, sol.mu)
     k_max = max((len(c.distinct_vars()) for c in instance.constraints), default=1)
     delta = min(1.0, k_max * instance.q ** 3 * post)
 
-    basis = build_basis(instance.q)
     mu_prime: dict[int, np.ndarray] = {}
     l1_shift = {}
     for cid, c in enumerate(instance.constraints):
@@ -198,7 +159,7 @@ def repair_to_feasible(instance: CspInstance, sol: LpSolution,
             scaled = np.full_like(table, 1.0 / len(table))
         else:
             scaled = table / total
-        h, _ = smooth(scaled, rows, post, basis, delta=delta)
+        h, _ = smooth(scaled, rows, post, delta=delta)
         mu_prime[cid] = h
         l1_shift[cid] = float(np.abs(table - h).sum())
 

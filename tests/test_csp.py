@@ -22,7 +22,6 @@ from csplp.csp import (
     instance_to_json,
     load_instance,
     save_instance,
-    subinstance,
     sum_estimator,
 )
 from csplp.errors import (
@@ -285,14 +284,21 @@ class TestStructure:
         assert sum(len(cs) for _, cs in comps) == len(inst.constraints)
 
     def test_subinstance_evaluates_consistently(self):
+        # every constraint lies in exactly one component, whose variables
+        # hold its whole scope: evaluating each component's constraints with
+        # only its variables assigned (None raises) sums to the whole value
         inst = corpus.component_union(7, pieces=3)
         comps = connected_components(inst)
+        assert sorted(cid for _, cs in comps for cid in cs) == list(range(len(inst.constraints)))
         rng = np.random.default_rng(0)
         beta = rng.integers(0, inst.q, size=inst.n)
-        total = sum(
-            evaluate(subinstance(inst, vs, cs), [beta[v] for v in vs])
-            for vs, cs in comps
-        )
+        total = 0.0
+        for vs, cs in comps:
+            assert all(set(inst.constraints[cid].scope) <= set(vs) for cid in cs)
+            part = [int(beta[v]) if v in vs else None for v in range(inst.n)]
+            piece = build_instance(inst.q, inst.s, inst.t, inst.w, inst.n, inst.predicates,
+                                   [inst.constraints[cid] for cid in cs])
+            total += evaluate(piece, part)
         assert total == pytest.approx(evaluate(inst, beta))
 
 

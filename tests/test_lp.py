@@ -7,7 +7,6 @@ from csplp.errors import NegativeEntry, SizeLimit
 from csplp.lp import (
     LinearProgram,
     LpSolution,
-    SolutionLpOracle,
     build_basic_lp,
     infeasibility,
     mu_assignments,
@@ -16,6 +15,8 @@ from csplp.lp import (
     solve_basic_lp,
     solve_lp,
 )
+
+from solution_oracle import SolutionLpOracle
 
 
 @pytest.fixture

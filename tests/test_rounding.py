@@ -6,7 +6,7 @@ import pytest
 from csplp import corpus
 from csplp.csp import Constraint, ConstraintOracle, brute_force_opt, build_instance, evaluate
 from csplp.errors import FoldTooLarge
-from csplp.lp import LpSolution, SolutionLpOracle, infeasibility, solve_basic_lp
+from csplp.lp import LpSolution, infeasibility, solve_basic_lp
 from csplp.localsolve import LpOracle
 from csplp.pipeline import PipelineParams
 from csplp.rounding import (
@@ -24,6 +24,8 @@ from csplp.rounding import (
     unfold_value,
     TESTER_DELTA_PRESETS,
 )
+
+from solution_oracle import SolutionLpOracle
 
 
 def unfolded_assignment(fm, beta):
