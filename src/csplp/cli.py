@@ -19,7 +19,7 @@ from .csp import ConstraintOracle, brute_force_opt, evaluate, load_instance, sav
 from .errors import BudgetExceeded, CsplpError, FoldTooLarge, SizeLimit
 from .gaplab import GapParams, collision_experiment, gen_lp_instance, gen_opt_instance
 from .localsolve import LocalSolverParams, LpOracle
-from .lp import check_fits, load_solution, mu_assignments, save_solution, solve_basic_lp
+from .lp import check_fits, load_solution, marginal_rows, save_solution, solve_basic_lp
 from .pipeline import PipelineParams, normalize_packing, relax_basic_lp, to_packing
 from .robustness import repair_to_feasible
 from .rounding import TESTER_DELTA_PRESETS, round_assignment, test_satisfiability
@@ -46,9 +46,8 @@ def _write_csv(path, command, seed, columns, rows):
 
 
 def _lp_oracle(instance, epsilon, cap):
-    pp = PipelineParams.for_instance(instance, epsilon)
-    solver = LocalSolverParams(epsilon=epsilon, rounds_cap=cap)
-    return LpOracle(ConstraintOracle(instance), pp, solver)
+    return LpOracle(ConstraintOracle(instance), PipelineParams.for_instance(instance, epsilon),
+                    LocalSolverParams(rounds_cap=cap))
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -134,9 +133,8 @@ def cmd_local_lp(args):
         value = oracle.query(name)
         rows.append((args.query, value, oracle.last_query_cost))
     elif args.assemble:
-        names = [("x", v, a) for v in range(inst.n) for a in range(inst.q)]
-        names += [("mu", cid, beta) for cid, c in enumerate(inst.constraints)
-                  for beta in mu_assignments(inst, c)]
+        m = marginal_rows(inst)
+        names = m.x_labels + m.mu_labels
         values, costs = oracle.query_many(names)
         rows = [(_column_text(name), val, cost) for name, val, cost in zip(names, values, costs)]
     else:

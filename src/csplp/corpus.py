@@ -215,7 +215,3 @@ def horn_chain() -> CspInstance:
     impl = clause_predicate((0, 1), name="imp")
     return build_instance(2, 2, 2, 1.0, 3,
                           [impl], [Constraint(0, (0, 1), 1.0), Constraint(0, (1, 2), 1.0)])
-
-
-def contradictory_pair() -> CspInstance:
-    return horn_far(1)

@@ -87,7 +87,7 @@ class CspInstance:
 
 
 def build_instance(q, s, t, w, n, predicates, constraints, degree_index=None) -> CspInstance:
-    """Validate and assemble an instance.
+    """Validate and assemble an instance from `Predicate` and `Constraint` objects.
 
     When `degree_index` is omitted it is derived deterministically in
     constraint-id order.  An explicit index (used by the blow-up generators,
@@ -96,10 +96,7 @@ def build_instance(q, s, t, w, n, predicates, constraints, degree_index=None) ->
     """
     if q < 2 or s < 1 or t < 1 or n < 0 or w < 1:
         raise ValueError(f"bad model parameters q={q} s={s} t={t} w={w} n={n}")
-    preds = tuple(
-        p if isinstance(p, Predicate) else Predicate(p["name"], p["arity"], tuple(p["truth_table"]))
-        for p in predicates
-    )
+    preds = tuple(predicates)
     for p in preds:
         if p.arity < 1 or p.arity > s:
             raise ArityExceeded(f"predicate {p.name!r} has arity {p.arity} > s = {s}")
@@ -112,8 +109,6 @@ def build_instance(q, s, t, w, n, predicates, constraints, degree_index=None) ->
 
     cons = []
     for c in constraints:
-        if not isinstance(c, Constraint):
-            c = Constraint(int(c["predicate"]), tuple(c["scope"]), float(c["weight"]))
         if c.predicate < 0 or c.predicate >= len(preds):
             raise ValueError(f"constraint references unknown predicate {c.predicate}")
         if len(c.scope) != preds[c.predicate].arity:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csp import ConstraintOracle, CspInstance
-from .lp import LpSolution, mu_assignments, value_of
+from .lp import LpSolution, marginal_rows
 from .pipeline import PackingProgram, PipelineParams, packing_rows, repair_blocks, restricted
 
 
@@ -44,13 +44,13 @@ from .pipeline import PackingProgram, PipelineParams, packing_rows, repair_block
 class LocalSolverParams:
     """Round budget and step size of the local dynamics (deterministic)."""
 
-    epsilon: float = 0.2
     eta: float = 0.25
     rounds_cap: int = 64
 
-    def rounds(self, gamma_p: float, gamma_d: float) -> int:
+    def rounds(self, epsilon: float, gamma_p: float, gamma_d: float) -> int:
+        """log Gamma_p * log Gamma_d / eps^4 rounds, capped; eps is the pipeline's."""
         raw = math.log(max(gamma_p, 2.0)) * math.log(max(gamma_d, 2.0))
-        raw /= self.epsilon ** 4
+        raw /= epsilon ** 4
         return max(1, min(self.rounds_cap, int(math.ceil(raw))))
 
 
@@ -81,28 +81,25 @@ def analytic_gamma_bounds(pp: PipelineParams):
 # --- ball exploration ---------------------------------------------------------
 
 class CommGraphView:
-    """Everything discovered within `radius` variable hops of the seed set.
+    """Everything `build_ball` discovered within its radius of the seed set.
 
     `scanned` holds variables whose full index list was read (t queries
     each, memoized); `known_vars` additionally contains scope members at the
     boundary.  `constraints` maps revealed constraint ids to their data.
+    The oracle's own counter meters the queries.
     """
 
-    def __init__(self, center, radius):
-        self.center = center
-        self.radius = radius
+    def __init__(self):
         self.scanned: set[int] = set()
         self.known_vars: set[int] = set()
         self.constraints: dict[int, object] = {}
-        self.query_cost = 0
 
 
 def build_ball(oracle: ConstraintOracle, center, radius: int) -> CommGraphView:
     """BFS over the communication structure; ascending-id exploration order."""
     inst = oracle.instance
-    view = CommGraphView(center, radius)
-    seeds = _anchor_vars(oracle, center, view)
-    frontier = sorted(seeds)
+    view = CommGraphView()
+    frontier = sorted(_anchor_vars(oracle, center))
     view.known_vars.update(frontier)
     for _ in range(radius + 1):
         next_frontier: set[int] = set()
@@ -112,7 +109,6 @@ def build_ball(oracle: ConstraintOracle, center, radius: int) -> CommGraphView:
             view.scanned.add(v)
             for i in range(1, inst.t + 1):
                 cid = oracle.query(v, i)
-                view.query_cost += 1
                 if cid is None or cid in view.constraints:
                     continue
                 c = inst.constraints[cid]  # payload of the answer just given
@@ -127,14 +123,12 @@ def build_ball(oracle: ConstraintOracle, center, radius: int) -> CommGraphView:
     return view
 
 
-def _anchor_vars(oracle, center, view) -> set[int]:
+def _anchor_vars(oracle, center) -> set[int]:
     kind = center[0]
     if kind in ("x", "xbar"):
         return {center[1]}
     if kind in ("mu", "mubar"):
-        c = oracle.constraint(center[1])
-        view.query_cost += 1
-        return set(c.distinct_vars())
+        return set(oracle.constraint(center[1]).distinct_vars())
     raise ValueError(f"unknown column name {center}")
 
 
@@ -196,8 +190,9 @@ class LpOracle:
     """Constant-radius access to a near-optimal solution of the basic relaxation.
 
     Each query explores its own ball, runs the two-phase dynamics, undoes the
-    packing scalings and applies the block-reset repair.  The oracle keeps no
-    state across calls apart from the underlying query counter.  Within one
+    packing scalings and applies the block-reset repair.  Across calls the
+    oracle keeps only the underlying query counter and `last_query_cost`, the
+    query cost of the latest `query` or `packing_value`.  Within one
     `query_many` call, a name whose ball equals the previous name's reuses
     that ball's solved program; the ball is still explored, so every name
     is counted at its full query cost.  Output values are in basic
@@ -210,11 +205,9 @@ class LpOracle:
                  solver: LocalSolverParams | None = None):
         self.oracle = oracle
         self.pipeline = pipeline
-        self.solver = solver or LocalSolverParams(epsilon=pipeline.epsilon)
-        gp, gd = analytic_gamma_bounds(pipeline)
-        self.gamma_p_bound = gp
-        self.gamma_d_bound = gd
-        self.rounds = self.solver.rounds(gp, gd)
+        self.solver = solver or LocalSolverParams()
+        gamma_p, self.gamma_d_bound = analytic_gamma_bounds(pipeline)
+        self.rounds = self.solver.rounds(pipeline.epsilon, gamma_p, self.gamma_d_bound)
         self.last_query_cost = 0
 
     # -- raw packing access --
@@ -222,16 +215,15 @@ class LpOracle:
     def packing_value(self, label) -> float:
         """Phase-2 value of one packing column (its ball only)."""
         before = self.oracle.query_count
-        view = build_ball(self.oracle, label, self.rounds + 1)
-        prog = BallProgram(view, self.oracle.instance, self.pipeline)
-        z2 = self._solve(prog)
+        prog, z2 = self._solve(build_ball(self.oracle, label, self.rounds + 1))
         self.last_query_cost = self.oracle.query_count - before
         return float(z2[prog.index[label]])
 
-    def _solve(self, prog: BallProgram) -> np.ndarray:
-        z0 = prog.initial_point(self.gamma_d_bound)
-        z1 = prog.ascend(z0, self.rounds, self.solver.eta)
-        return prog.rescale_feasible(z1)
+    def _solve(self, view: CommGraphView):
+        """The ball's program and its phase-2 vector."""
+        prog = BallProgram(view, self.oracle.instance, self.pipeline)
+        z1 = prog.ascend(prog.initial_point(self.gamma_d_bound), self.rounds, self.solver.eta)
+        return prog, prog.rescale_feasible(z1)
 
     # -- repaired basic-coordinate access --
 
@@ -249,7 +241,6 @@ class LpOracle:
         so the last ball's program and phase-2 vector are kept and reused;
         the memo ends with the call.
         """
-        inst = self.oracle.instance
         values, costs = [], []
         key = prog = z2 = None
         for name in names:
@@ -261,8 +252,7 @@ class LpOracle:
             ball_key = (sorted(view.known_vars), sorted(view.constraints))
             if ball_key != key:
                 key = ball_key
-                prog = BallProgram(view, inst, self.pipeline)
-                z2 = self._solve(prog)
+                prog, z2 = self._solve(view)
             values.append(self._repaired(name, view, prog, z2))
             costs.append(self.oracle.query_count - before)
         return values, costs
@@ -289,26 +279,12 @@ class LpOracle:
 
 def assemble_packing_vector(lp_oracle: LpOracle, instance: CspInstance) -> dict:
     """Query the phase-2 value of every packing column."""
-    out = {}
-    for v in range(instance.n):
-        for a in range(instance.q):
-            out[("x", v, a)] = lp_oracle.packing_value(("x", v, a))
-            out[("xbar", v, a)] = lp_oracle.packing_value(("xbar", v, a))
-    for cid, c in enumerate(instance.constraints):
-        for beta in mu_assignments(instance, c):
-            out[("mu", cid, beta)] = lp_oracle.packing_value(("mu", cid, beta))
-            out[("mubar", cid, beta)] = lp_oracle.packing_value(("mubar", cid, beta))
-    return out
+    return {label: lp_oracle.packing_value(label)
+            for label in packing_rows(instance, lp_oracle.pipeline).labels}
 
 
 def assemble_global(lp_oracle: LpOracle, instance: CspInstance) -> LpSolution:
     """Query every repaired basic-coordinate value and pack a solution."""
-    x = np.zeros((instance.n, instance.q))
-    for v in range(instance.n):
-        for a in range(instance.q):
-            x[v, a] = lp_oracle.query(("x", v, a))
-    mu = {}
-    for cid, c in enumerate(instance.constraints):
-        mu[cid] = np.array([lp_oracle.query(("mu", cid, beta))
-                            for beta in mu_assignments(instance, c)])
-    return LpSolution(x, mu, value_of(instance, x, mu))
+    m = marginal_rows(instance)
+    return LpSolution.from_columns(instance, {name: lp_oracle.query(name)
+                                              for name in m.x_labels + m.mu_labels})

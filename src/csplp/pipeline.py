@@ -49,16 +49,16 @@ from .lp import (
 
 @dataclass(frozen=True)
 class PipelineParams:
-    """Relaxation slack, reward constant, repair thresholds, model parameters.
+    """Relaxation slack, reward constant, repair threshold, model parameters.
 
-    Defaults instantiate the hidden constants as C = q^(2s) (t w)^2 / eps^2,
-    eps_inner = eps^3 / (q^(2s) (t w)^2) and eps_reset = eps; every field can
-    be overridden.
+    `for_instance` instantiates the hidden constants as C = q^(2s) (t w)^2 / eps^2,
+    above 16 w^2 since eps < 1/2, and eps_reset = eps.  The local oracle's
+    round count reads `epsilon` too.  Other values go through
+    `dataclasses.replace`.
     """
 
     epsilon: float
     C: float
-    eps_inner: float
     eps_reset: float
     q: int
     s: int
@@ -66,18 +66,12 @@ class PipelineParams:
     w: float
 
     @classmethod
-    def for_instance(cls, instance: CspInstance, epsilon: float, C=None,
-                     eps_inner=None, eps_reset=None) -> "PipelineParams":
+    def for_instance(cls, instance: CspInstance, epsilon: float) -> "PipelineParams":
         if not (0.0 < epsilon < 0.5):
             raise ValueError("epsilon must lie in (0, 1/2)")
         q, s, t, w = instance.q, instance.s, instance.t, instance.w
-        base = q ** (2 * s) * (t * w) ** 2
-        C = float(C if C is not None else base / epsilon ** 2)
-        eps_inner = float(eps_inner if eps_inner is not None else epsilon ** 3 / base)
-        eps_reset = float(eps_reset if eps_reset is not None else epsilon)
-        if C < instance.w:
-            raise ValueError("C must dominate the maximum weight")
-        return cls(epsilon, C, eps_inner, eps_reset, q, s, t, float(w))
+        C = float(q ** (2 * s) * (t * w) ** 2 / epsilon ** 2)
+        return cls(epsilon, C, float(epsilon), q, s, t, float(w))
 
 
 def relax_basic_lp(instance: CspInstance, epsilon: float) -> LinearProgram:

@@ -60,18 +60,10 @@ def grid_coords(x, eps: float) -> np.ndarray:
     return np.where(x <= 0.0, 0, np.ceil(x / eps - 1e-9)).astype(np.int64)
 
 
-def discretize(x: float, eps: float) -> float:
-    """One marginal entry rounded up to the grid eps*Z."""
-    if x < -1e-12:
-        raise ValueError("marginals must be nonnegative")
-    return float(grid_coords(x, eps) * eps)
-
-
 @dataclass
 class FoldingMap:
     """Variable -> bucket assignment induced by discretized marginals."""
 
-    eps: float
     keys: list[tuple[int, ...]]          # per variable, its grid coordinates
     buckets: dict[tuple[int, ...], int]  # key -> dense bucket id
 
@@ -109,7 +101,7 @@ def fold_map(x: np.ndarray, eps: float) -> FoldingMap:
     for key in keys:
         if key not in buckets:
             buckets[key] = len(buckets)
-    return FoldingMap(eps, keys, buckets)
+    return FoldingMap(keys, buckets)
 
 
 def fold(instance: CspInstance, x: np.ndarray, eps: float):
@@ -212,10 +204,7 @@ class RoundingResult:
     folded_assignment: tuple[int, ...] | None
     fold: FoldingMap | None
     transcript: list          # (assignment, estimate, oracle queries used)
-    epsilon: float
-    eps_fold: float | None
     short_circuited: bool = False
-    marginals: np.ndarray | None = None
     draw_seed: int | None = None
 
     def assignment_query(self, v: int) -> int:
@@ -253,7 +242,7 @@ def round_assignment(oracle: ConstraintOracle, lp_oracle, epsilon: float, seed: 
     """
     inst = oracle.instance
     if inst.total_weight < epsilon * inst.n or inst.n == 0:
-        return RoundingResult(0.0, None, None, [], epsilon, None, short_circuited=True)
+        return RoundingResult(0.0, None, None, [], short_circuited=True)
     if eps_fold is None:
         eps_fold = default_fold_eps(inst, epsilon)
     else:
@@ -282,8 +271,7 @@ def round_assignment(oracle: ConstraintOracle, lp_oracle, epsilon: float, seed: 
         transcript.append((beta, est, oracle.query_count - before))
         if est > best_est:
             best_beta, best_est = beta, est
-    return RoundingResult(best_est, best_beta, fm, transcript, epsilon, eps_fold,
-                          marginals=x, draw_seed=seed)
+    return RoundingResult(best_est, best_beta, fm, transcript, draw_seed=seed)
 
 
 # --- satisfiability tester ------------------------------------------------------

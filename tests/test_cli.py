@@ -251,6 +251,42 @@ def test_pipeline_dump_golden(tmp_path, name, stage):
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == DUMP_SHA256[name, stage]
 
 
+# sha256 of the local-oracle CSVs on DUMP_INSTANCES and one Horn instance, as of
+# the oracle with two epsilons and two ball-solve paths
+ORACLE_SHA256 = {
+    ("triangle", "assemble"): "5316ea7e1e1798609e8266ab80334e04eec901ba6c670ed012f97790925ba3e2",
+    ("triangle", "query"): "466ddbfdc15436100f05b7f72d7d9a80d383be507d9939f3ce9301c2e414a6a5",
+    ("triangle", "round"): "8ba05e3928c815f4639659bfc842f5b4c286334e2e53149ca42685ae002a1036",
+    ("random", "assemble"): "5b3ca1eb6d7c78f0e2d8570e2d927a631a90c083d6a81f00e3a7e33b7828f6ac",
+    ("random", "query"): "8f45491e37c3b033149f0d8fea69ed8fce51e63374c1da651c0ee36af3a37a7c",
+    ("random", "round"): "4e6a3f77c85e9443a5b36a9912365f12eab311d9119482ea1b32aa63a790a8a4",
+    ("union", "assemble"): "1f6ceb3805817fc9ab7a593449268213b878e96a2b8d4bd92d787af81b31e734",
+    ("union", "query"): "72d4cc5f5a2b6aab3ec0f573ad2c512281a49ab3329b78c9ff56230847923b84",
+    ("union", "round"): "0521a8412e2c9798ddbd6182395c95fad30e355e7431a364b770452d1a7739f2",
+    ("horn", "assemble"): "f1783d0659cab968e70f8c69f2ebf434138403655b7b68df4fab4fde2366d040",
+    ("horn", "query"): "7fafbbe8f5931e6625f44a5a011f9a7dd6691201586ace94d6af8ed318971987",
+    ("horn", "round"): "623c0ac6ea654138054e21d95331a07b6640a2023bec3daf39f21b9d4c6c26f2",
+    ("horn", "test-sat"): "74c115d73fb7b5d06fd1c72129ee2debb2258444a74cc034b98c7ded7f75ad0c",
+}
+ORACLE_RUNS = {
+    "assemble": ["local-lp", "--assemble"],
+    "query": ["local-lp", "--query", "x:0:1"],
+    "round": ["round", "--epsilon", "0.3", "--trials", "3", "--seed", "7"],
+    "test-sat": ["test-sat", "--epsilon", "0.3", "--trials", "2", "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("name, run", sorted(ORACLE_SHA256))
+def test_oracle_outputs_golden(tmp_path, name, run):
+    make = {**DUMP_INSTANCES, "horn": lambda: corpus.horn_satisfiable(1, n=6, m=8)}[name]
+    inst_path, out_path = tmp_path / "inst.json", tmp_path / "out.csv"
+    save_instance(make(), inst_path)
+    command, *options = ORACLE_RUNS[run]
+    assert cli.main([command, "--instance", str(inst_path), *options,
+                     "--csv", str(out_path)]) == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == ORACLE_SHA256[name, run]
+
+
 # sha256 of the gap outputs on the triangle (N 4, T 2, seed 5 for `gap gen`), as of
 # the blow-up generators and transcript process before the one-relabel-step form
 GAP_SHA256 = {

@@ -69,7 +69,7 @@ class TestBuild:
         neq = corpus.neq_predicate(2)
         with pytest.raises(ArityExceeded):
             build_instance(2, 1, 2, 1.0, 2, [neq], [Constraint(0, (0, 1), 1.0)])
-        bad = {"name": "bad", "arity": 2, "truth_table": [0, 1, 1]}
+        bad = Predicate("bad", 2, (0, 1, 1))
         with pytest.raises(BadTruthTableLength):
             build_instance(2, 2, 2, 1.0, 2, [bad], [])
 
@@ -238,7 +238,7 @@ class TestDistance:
         assert distance_to_satisfiability(corpus.horn_chain()) == 0
 
     def test_contradictory_unaries(self):
-        assert distance_to_satisfiability(corpus.contradictory_pair()) == 1
+        assert distance_to_satisfiability(corpus.horn_far(1)) == 1
 
     def test_zero_iff_opt_counts_all(self, tri):
         inst = corpus.horn_chain()
@@ -311,7 +311,7 @@ class TestJson:
     def test_corpus_round_trips_through_files(self, tmp_path):
         instances = [
             corpus.triangle(), corpus.single(), corpus.horn_far(8), corpus.horn_chain(),
-            corpus.contradictory_pair(), corpus.horn_satisfiable(3, n=16, m=20),
+            corpus.horn_far(1), corpus.horn_satisfiable(3, n=16, m=20),
             corpus.random_instance(1, q=3, s=3, n=7, m=6, w=2.5, weights_vary=True),
             corpus.component_union(5, pieces=6),
             *corpus.brute_corpus(), *corpus.pipeline_corpus(), *corpus.local_corpus(),

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,8 +35,8 @@ def single():
     return corpus.single()
 
 
-def params_for(inst, eps=0.25, **kw):
-    return PipelineParams.for_instance(inst, eps, **kw)
+def params_for(inst, eps=0.25):
+    return PipelineParams.for_instance(inst, eps)
 
 
 class TestRelaxed:
@@ -114,7 +116,7 @@ class TestNormalize:
             pp.solve_exact()
 
     def test_single_stats_and_restricted_form(self, single):
-        params = params_for(single, 0.25, C=100.0)
+        params = dataclasses.replace(params_for(single, 0.25), C=100.0)
         pp = normalize_packing(to_packing(single, params), params)
         assert pp.coef.min() >= 1.0 - 1e-12
         # c_max stays within a small multiple of C (w + q^s)
@@ -233,7 +235,7 @@ class TestRestoreRepair:
                 assert sol.x[v, a] == pytest.approx(cols[("xbar", v, a)], abs=1e-6)
 
     def test_drifted_pair_resets_block(self, single):
-        params = params_for(single, 0.25, eps_reset=0.3)
+        params = dataclasses.replace(params_for(single, 0.25), eps_reset=0.3)
         lp3 = to_packing(single, params)
         _, cols = solve_lp(lp3)
         cols[("x", 0, 0)] = 0.25

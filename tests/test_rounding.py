@@ -12,7 +12,6 @@ from csplp.pipeline import PipelineParams
 from csplp.rounding import (
     DRAW,
     adjust_epsilon,
-    discretize,
     estimate_assignment_value,
     fold,
     fold_map,
@@ -42,18 +41,20 @@ def local_oracle(inst, eps=0.2):
 
 
 class TestDiscretize:
+    """The one grid rule: x rounds up to grid_coords(x, eps) * eps."""
+
     def test_examples(self):
-        assert discretize(0.3, 0.25) == pytest.approx(0.5)
-        assert discretize(0.0, 0.25) == 0.0
-        assert discretize(1.0, 0.25) == pytest.approx(1.0)
+        assert grid_coords(0.3, 0.25) == 2
+        assert grid_coords(0.0, 0.25) == 0
+        assert grid_coords(1.0, 0.25) == 4
 
     def test_maps_small_positives_up(self):
-        assert discretize(1e-9, 0.25) == pytest.approx(0.25)
+        assert grid_coords(1e-9, 0.25) == 1
 
     def test_monotone_and_bracketing(self):
         eps = adjust_epsilon(0.3)
         xs = np.linspace(0.0, 1.0 + eps, 237)
-        ys = [discretize(float(x), eps) for x in xs]
+        ys = grid_coords(xs, eps) * eps
         assert all(b >= a - 1e-12 for a, b in zip(ys, ys[1:]))
         for x, y in zip(xs, ys):
             if x > 0:
@@ -62,14 +63,14 @@ class TestDiscretize:
     def test_idempotent_on_image(self):
         eps = 0.2
         for k in range(0, 7):
-            v = k * eps
-            assert discretize(discretize(v, eps), eps) == pytest.approx(discretize(v, eps))
+            v = grid_coords(k * eps, eps) * eps
+            assert grid_coords(v, eps) * eps == pytest.approx(v)
 
     def test_adjust_epsilon(self):
         assert adjust_epsilon(0.3) == pytest.approx(0.25)
         assert adjust_epsilon(0.25) == pytest.approx(0.25)
         with pytest.raises(ValueError):
-            discretize(0.5, 0.3)
+            grid_coords(0.5, 0.3)
 
 
 class TestFold:
