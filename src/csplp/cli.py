@@ -108,14 +108,26 @@ def _lp_json(lp):
     }
 
 
-def _parse_column(text):
+def _parse_column(text, inst):
+    """The column named x:v:a or mu:cid:b1,b2, checked against the instance."""
     parts = text.split(":")
+    if len(parts) != 3 or parts[0] not in ("x", "mu"):
+        raise ValueError(f"cannot parse column name {text!r}; use x:v:a or mu:cid:b1,b2")
+
+    def index(part, bound, what):
+        if not (part.isascii() and part.isdigit() and int(part) < bound):
+            raise ValueError(f"column {text!r}: {what} {part!r} is not in [0, {bound})")
+        return int(part)
+
     if parts[0] == "x":
-        return ("x", int(parts[1]), int(parts[2]))
-    if parts[0] == "mu":
-        beta = tuple(int(b) for b in parts[2].split(",")) if parts[2] else ()
-        return ("mu", int(parts[1]), beta)
-    raise ValueError(f"cannot parse column name {text!r}; use x:v:a or mu:cid:b1,b2")
+        return ("x", index(parts[1], inst.n, "variable"), index(parts[2], inst.q, "value"))
+    cid = index(parts[1], len(inst.constraints), "constraint")
+    beta = tuple(index(b, inst.q, "value") for b in parts[2].split(","))
+    arity = len(inst.constraints[cid].distinct_vars())
+    if len(beta) != arity:
+        raise ValueError(f"column {text!r}: constraint {cid} has {arity} distinct variables, "
+                         f"not {len(beta)}")
+    return ("mu", cid, beta)
 
 
 def _column_text(name):
@@ -129,7 +141,7 @@ def cmd_local_lp(args):
     oracle = _lp_oracle(inst, args.epsilon, args.rounds_cap)
     rows = []
     if args.query:
-        name = _parse_column(args.query)
+        name = _parse_column(args.query, inst)
         value = oracle.query(name)
         rows.append((args.query, value, oracle.last_query_cost))
     elif args.assemble:

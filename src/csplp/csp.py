@@ -122,13 +122,9 @@ def build_instance(q, s, t, w, n, predicates, constraints, degree_index=None) ->
         cons.append(c)
     cons = tuple(cons)
 
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for cid, c in enumerate(cons):
-        for v in c.distinct_vars():
-            incident[v].append(cid)
-
+    incident = constraint_order_index(n, cons)
     if degree_index is None:
-        index = tuple(tuple(slots) for slots in incident)
+        index = incident
     else:
         index = tuple(tuple(slots) for slots in degree_index)
         if len(index) != n:
@@ -142,6 +138,15 @@ def build_instance(q, s, t, w, n, predicates, constraints, degree_index=None) ->
             raise DegreeExceeded(v, len(index[v]), t)
 
     return CspInstance(q, int(s), int(t), float(w), int(n), preds, cons, index)
+
+
+def constraint_order_index(n: int, constraints) -> tuple[tuple[int, ...], ...]:
+    """The default degree index: each variable's constraint ids in increasing order."""
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for cid, c in enumerate(constraints):
+        for v in c.distinct_vars():
+            incident[v].append(cid)
+    return tuple(tuple(slots) for slots in incident)
 
 
 class ConstraintOracle:
@@ -179,13 +184,12 @@ class ConstraintOracle:
 
 def evaluate(instance: CspInstance, assignment) -> float:
     """Exact weighted satisfied count; repeated scope positions read the same value."""
-    beta = list(assignment) if not isinstance(assignment, (list, tuple, np.ndarray)) else assignment
     total = 0.0
     q = instance.q
     for c in instance.constraints:
         vals = []
         for v in c.scope:
-            a = beta[v]
+            a = assignment[v]
             if a is None:
                 raise ValueError(f"assignment undefined for constrained variable {v}")
             vals.append(a)
@@ -265,11 +269,11 @@ def brute_force_opt(instance: CspInstance, budget: int = DEFAULT_ENUM_BUDGET):
     return evaluate(instance, argmax), argmax
 
 
-def distance_to_satisfiability(instance: CspInstance, budget: int = DEFAULT_ENUM_BUDGET) -> int:
+def distance_to_satisfiability(instance: CspInstance) -> int:
     """Minimum NUMBER of constraints to remove so the rest is satisfiable."""
     if not instance.constraints:
         return 0
-    best, _ = _scan_assignments(instance, budget, weighted=False)
+    best, _ = _scan_assignments(instance, DEFAULT_ENUM_BUDGET, weighted=False)
     return len(instance.constraints) - int(round(best))
 
 
@@ -281,23 +285,18 @@ def estimator_sample_count(w: float, eps: float, delta: float) -> int:
 
 
 def sum_estimator(f, n: int, w: float, eps: float, delta: float, seed: int) -> float:
-    """Estimate sum_i f(i) for f: [n] -> [0, w] from uniform point queries.
+    """Estimate sum_i f[i] for f an array of n values in [0, w] from uniform samples.
 
     Draws m = ceil(w^2 ln(2/delta) / (2 eps^2)) indices with replacement and
     returns (n/m) * sum of samples; by Hoeffding the additive error exceeds
-    eps*n with probability at most delta.  `f` may be a callable or an
-    array of length n (array input is evaluated vectorized).
+    eps*n with probability at most delta.
     """
     if not (0.0 < eps < 1.0 and 0.0 < delta < 1.0):
         raise ValueError("eps and delta must lie in (0, 1)")
     m = estimator_sample_count(w, eps, delta)
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, n, size=m)
-    if callable(f):
-        total = float(sum(f(int(i)) for i in idx))
-    else:
-        arr = np.asarray(f, dtype=np.float64)
-        total = float(arr[idx].sum())
+    total = float(np.asarray(f, dtype=np.float64)[idx].sum())
     return n * total / m
 
 
@@ -335,7 +334,9 @@ def connected_components(instance: CspInstance):
 # --- JSON format ------------------------------------------------------------
 
 def instance_to_json(instance: CspInstance) -> dict:
-    return {
+    """The JSON form; `degree_index` is written only where it is not the
+    constraint-order default, as in a blow-up's per-block slot layout."""
+    data = {
         "q": instance.q,
         "s": instance.s,
         "t": instance.t,
@@ -350,6 +351,9 @@ def instance_to_json(instance: CspInstance) -> dict:
             for c in instance.constraints
         ],
     }
+    if instance.degree_index != constraint_order_index(instance.n, instance.constraints):
+        data["degree_index"] = [list(slots) for slots in instance.degree_index]
+    return data
 
 
 def _json_text(value) -> str:
@@ -407,7 +411,14 @@ def instance_from_json(data: dict) -> CspInstance:
             json_value(v, "int", f"{where}.scope")
         cons.append(Constraint(json_field(c, "predicate", "int", where), tuple(scope),
                                float(json_field(c, "weight", "number", where))))
-    return build_instance(q, s, t, w, n, preds, cons)
+    index = None
+    if "degree_index" in data:
+        index = []
+        for v, slots in enumerate(json_field(data, "degree_index", "list", "instance")):
+            where = f"instance.degree_index[{v}]"
+            index.append([json_value(cid, "int", where)
+                          for cid in json_value(slots, "list", where)])
+    return build_instance(q, s, t, w, n, preds, cons, index)
 
 
 def save_instance(instance: CspInstance, path) -> None:

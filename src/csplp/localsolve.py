@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,9 +43,9 @@ from .pipeline import PackingProgram, PipelineParams, packing_rows, repair_block
 
 @dataclass(frozen=True)
 class LocalSolverParams:
-    """Round budget and step size of the local dynamics (deterministic)."""
+    """Round budget of the local dynamics; the step size eta is fixed."""
 
-    eta: float = 0.25
+    eta: ClassVar[float] = 0.25
     rounds_cap: int = 64
 
     def rounds(self, epsilon: float, gamma_p: float, gamma_d: float) -> int:
@@ -264,14 +265,14 @@ class LpOracle:
             i = prog.index[label]
             return z2[i] / prog.col_scale[i]
 
-        eps_reset = self.pipeline.eps_reset
+        eps = self.pipeline.epsilon
         if name[0] == "x":
             _, v, a = name
-            marginals, _, _ = repair_blocks(stage2, inst, eps_reset, [v], [])
+            marginals, _, _ = repair_blocks(stage2, inst, eps, [v], [])
             return float(marginals[v][a])
         _, cid, beta = name
         dv = view.constraints[cid].distinct_vars()
-        _, tables, _ = repair_blocks(stage2, inst, eps_reset, dv, [cid])
+        _, tables, _ = repair_blocks(stage2, inst, eps, dv, [cid])
         return float(tables[cid][np.ravel_multi_index(beta, (inst.q,) * len(beta))])
 
 

@@ -96,7 +96,7 @@ def solve_lp(lp: LinearProgram):
     """
     check_tableau_size(len(lp.rhs), lp.num_cols)
     c, A, senses, b = lp.dense()
-    x, value = simplex.solve(c, A, senses, b, maximize=True)
+    x, value = simplex.solve(c, A, senses, b)
     return value, {label: float(x[j]) for j, label in enumerate(lp.labels)}
 
 

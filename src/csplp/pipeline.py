@@ -49,17 +49,14 @@ from .lp import (
 
 @dataclass(frozen=True)
 class PipelineParams:
-    """Relaxation slack, reward constant, repair threshold, model parameters.
+    """Relaxation slack eps and the model parameters; every hidden constant derives from them.
 
-    `for_instance` instantiates the hidden constants as C = q^(2s) (t w)^2 / eps^2,
-    above 16 w^2 since eps < 1/2, and eps_reset = eps.  The local oracle's
-    round count reads `epsilon` too.  Other values go through
-    `dataclasses.replace`.
+    The reward is C = q^(2s) (t w)^2 / eps^2, above 16 w^2 since eps < 1/2,
+    and the block-reset threshold of `repair_blocks` is eps itself.  The
+    local oracle's round count reads `epsilon` too.
     """
 
     epsilon: float
-    C: float
-    eps_reset: float
     q: int
     s: int
     t: int
@@ -69,9 +66,12 @@ class PipelineParams:
     def for_instance(cls, instance: CspInstance, epsilon: float) -> "PipelineParams":
         if not (0.0 < epsilon < 0.5):
             raise ValueError("epsilon must lie in (0, 1/2)")
-        q, s, t, w = instance.q, instance.s, instance.t, instance.w
-        C = float(q ** (2 * s) * (t * w) ** 2 / epsilon ** 2)
-        return cls(epsilon, C, float(epsilon), q, s, t, float(w))
+        return cls(epsilon, instance.q, instance.s, instance.t, float(instance.w))
+
+    @property
+    def C(self) -> float:
+        """The reward on every packing column."""
+        return float(self.q ** (2 * self.s) * (self.t * self.w) ** 2 / self.epsilon ** 2)
 
 
 def relax_basic_lp(instance: CspInstance, epsilon: float) -> LinearProgram:
@@ -276,18 +276,21 @@ def exact_packing_optimum(instance: CspInstance, params: PipelineParams) -> floa
 
 # --- the restore-and-repair step ----------------------------------------------
 
-def check_lp3_feasible(lp3: LinearProgram, z: dict, tol: float = 1e-7) -> float:
+LP3_TOL = 1e-7  # slack `check_lp3_feasible` allows on columns and rows
+
+
+def check_lp3_feasible(lp3: LinearProgram, z: dict) -> float:
     """Largest row excess of the stage-2 vector z (missing labels read 0).
 
-    Raises NotFeasibleForLp3 on a column below -tol or an excess above tol.
+    Raises NotFeasibleForLp3 on a column below -LP3_TOL or an excess above it.
     """
     vals = np.array([z.get(lab, 0.0) for lab in lp3.labels], dtype=float)
-    negative = np.flatnonzero(vals < -tol)
+    negative = np.flatnonzero(vals < -LP3_TOL)
     if len(negative):
         raise NotFeasibleForLp3(f"negative column {lp3.labels[negative[0]]}")
     loads = np.bincount(lp3.row, lp3.coef * vals[lp3.col], len(lp3.rhs))
     worst = float((loads - lp3.rhs).max(initial=0.0))
-    if worst > tol:
+    if worst > LP3_TOL:
         raise NotFeasibleForLp3(f"row violation {worst:.3e}")
     return worst
 
@@ -336,9 +339,8 @@ def restore_and_repair(instance: CspInstance, z: dict, params: PipelineParams,
     stage-2 rows, those of `lp3` when it is given.  Returns (LpSolution, report).
     """
     check_lp3_feasible(packing_rows(instance, params) if lp3 is None else lp3, z)
-    q, n = instance.q, instance.n
-    eps2 = params.eps_reset
-    marginals, mu, reset_vars = repair_blocks(lambda lab: z.get(lab, 0.0), instance, eps2,
+    q, n, eps = instance.q, instance.n, params.epsilon
+    marginals, mu, reset_vars = repair_blocks(lambda lab: z.get(lab, 0.0), instance, eps,
                                               range(n), range(len(instance.constraints)))
     x = np.array([marginals[v] for v in range(n)]).reshape(n, q)
     reset_tables = [cid for cid, c in enumerate(instance.constraints)
@@ -348,9 +350,9 @@ def restore_and_repair(instance: CspInstance, z: dict, params: PipelineParams,
     measured = infeasibility(instance, sol)
     s = instance.s
     bound = max(
-        params.epsilon + q * eps2,
-        params.epsilon + eps2 * (q ** (s - 1) + 1),
-        2 * max(s - 1, 1) * (params.epsilon + q * eps2),
+        eps + q * eps,
+        eps + eps * (q ** (s - 1) + 1),
+        2 * max(s - 1, 1) * (eps + q * eps),
     )
     report = {
         "reset_variables": sorted(reset_vars),

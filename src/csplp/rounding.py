@@ -17,9 +17,9 @@ distribution and the constants are optimal, so only they are enumerated.
 Per-variable answers cost nothing beyond the bucket lookup and, for a draw,
 one seeded uniform.
 
-The number of folded assignments is budget-gated: the guarantee rests on
-full enumeration, so an oversized fold is a hard error rather than a silent
-fallback to sampling.
+The number of folded assignments is gated by ASSIGNMENT_BUDGET: the
+guarantee rests on full enumeration, so an oversized fold is a hard error
+rather than a silent fallback to sampling.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ import numpy as np
 
 from .csp import ConstraintOracle, CspInstance, build_instance, sum_estimator
 from .errors import FoldTooLarge
+
+ASSIGNMENT_BUDGET = 2 ** 20  # most folded assignments `round_assignment` enumerates
 
 
 def adjust_epsilon(eps: float) -> float:
@@ -209,7 +211,7 @@ class RoundingResult:
 
     def assignment_query(self, v: int) -> int:
         """Value of variable v under the committed rule of its bucket."""
-        if self.short_circuited or self.folded_assignment is None:
+        if self.short_circuited:
             return 0
         return unfold_value(self.fold, self.folded_assignment, v, self.draw_seed)
 
@@ -223,15 +225,15 @@ def default_fold_eps(instance: CspInstance, epsilon: float) -> float:
     return adjust_epsilon(epsilon ** 2 / poly)
 
 
-def round_assignment(oracle: ConstraintOracle, lp_oracle, epsilon: float, seed: int,
-                     *, assignment_budget: int = 2 ** 20,
-                     eps_fold: float | None = None) -> RoundingResult:
+def round_assignment(oracle: ConstraintOracle, lp_oracle, epsilon: float,
+                     seed: int) -> RoundingResult:
     """Enumerate per-bucket rules, estimate each combination, commit to the argmax.
 
     Every bucket takes the q constants; a bucket from `shared_buckets` also
     takes DRAW, under which each of its variables v draws its value from the
     bucket's normalized discretized marginal with the uniform from (seed, v).
-    The N combinations are budget-gated.  Per-combination estimation budgets
+    The N combinations are gated by ASSIGNMENT_BUDGET, and the fold's
+    discretization is `default_fold_eps`.  Per-combination estimation budgets
     its failure probability as 1/(3 N), so the union over all of them
     succeeds with probability at least 2/3.  When the total weight is
     below epsilon * n any answer is within the additive slack already; we
@@ -243,22 +245,18 @@ def round_assignment(oracle: ConstraintOracle, lp_oracle, epsilon: float, seed: 
     inst = oracle.instance
     if inst.total_weight < epsilon * inst.n or inst.n == 0:
         return RoundingResult(0.0, None, None, [], short_circuited=True)
-    if eps_fold is None:
-        eps_fold = default_fold_eps(inst, epsilon)
-    else:
-        eps_fold = adjust_epsilon(eps_fold)
 
     q = inst.q
     values, _ = lp_oracle.query_many([("x", v, a) for v in range(inst.n) for a in range(q)])
     x = np.array(values).reshape(inst.n, q)
-    fm = fold_map(x, eps_fold)
+    fm = fold_map(x, default_fold_eps(inst, epsilon))
 
     shared = shared_buckets(oracle, fm)
     rules = [tuple(range(q)) + ((DRAW,) if b in shared else ())
              for b in range(fm.bucket_count)]
     count = math.prod(len(r) for r in rules)
-    if count > assignment_budget:
-        raise FoldTooLarge(f"{count} folded assignments exceed budget {assignment_budget}")
+    if count > ASSIGNMENT_BUDGET:
+        raise FoldTooLarge(f"{count} folded assignments exceed budget {ASSIGNMENT_BUDGET}")
     delta = 1.0 / (3.0 * count)
 
     rng = np.random.default_rng(seed)
@@ -291,8 +289,7 @@ def tester_threshold(instance: CspInstance, epsilon: float) -> float:
 
 
 def test_satisfiability(oracle: ConstraintOracle, lp_oracle, epsilon: float,
-                        delta: float, seed: int,
-                        assignment_budget: int = 2 ** 20) -> bool:
+                        delta: float, seed: int) -> bool:
     """Accept when the rounded estimate clears the separation threshold.
 
     `delta` is the family-specific modulus: the rounding scheme runs at
@@ -302,8 +299,7 @@ def test_satisfiability(oracle: ConstraintOracle, lp_oracle, epsilon: float,
     """
     inst = oracle.instance
     eps_run = min(epsilon / 2.0, delta)
-    result = round_assignment(oracle, lp_oracle, eps_run, seed,
-                              assignment_budget=assignment_budget)
+    result = round_assignment(oracle, lp_oracle, eps_run, seed)
     if result.short_circuited:
         # negligible total weight: nothing measurable can be far
         return True

@@ -83,21 +83,20 @@ class _Tableau:
         raise IterationLimit("simplex iteration limit exceeded")
 
 
-def solve(c, A, senses, b, maximize=True, max_iters=None):
-    """Solve the LP; returns (x, value).
+def solve(c, A, senses, b, max_iters=None):
+    """Maximize c^T x over the LP; returns (x, value).
 
     `senses` is a sequence of "<=", "=", ">=" per row.  Raises Infeasible or
-    Unbounded.  The returned x covers the structural columns only.
+    Unbounded.  The returned x covers the structural columns only.  A
+    minimization is the maximization of -c, with the value negated.
     """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     m, n = A.shape if A.size else (len(b), len(c))
     if m == 0:
-        if maximize and (c > PIVOT_EPS).any():
+        if (c > PIVOT_EPS).any():
             raise Unbounded("no constraints on a positive-cost column")
-        if not maximize and (c < -PIVOT_EPS).any():
-            raise Unbounded("no constraints on a negative-cost column")
         return np.zeros(n), 0.0
     # rows with a negative rhs are negated, with their sense flipped
     flip = b < 0
@@ -152,7 +151,7 @@ def solve(c, A, senses, b, maximize=True, max_iters=None):
             tab.basis = [tab.basis[r] for r in keep]
 
     cost = np.zeros(cols)
-    cost[:n] = -c if maximize else c
+    cost[:n] = -c
     tab.set_objective(cost)
     tab.minimize(art_start, iters)  # artificials stay out
 

@@ -48,6 +48,17 @@ def test_local_lp_query(tri_path):
     assert int(cost) > 0
 
 
+@pytest.mark.parametrize("name", ["x:0", "x:0:5", "mu:9:0,1", "mu:0:0", "mu:0:", "mu:0:0,0,0",
+                                  "x:0:-1", "x:0:0:0"])
+def test_local_lp_malformed_query_exits_2_with_one_line(tri_path, name, capsys):
+    # names that are not columns of the triangle: too few or too many parts,
+    # an index out of range, or a table entry of the wrong length
+    assert cli.main(["local-lp", "--instance", tri_path, "--query", name]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1 and out.err.startswith("error: ")
+
+
 def test_local_lp_assemble_names_round_trip(tri_path):
     out = run_cli("local-lp", "--instance", tri_path, "--assemble")
     assert out.returncode == 0
@@ -142,8 +153,12 @@ def _set(path, value):
     _set(("constraints", 0, "scope"), None),
     _set(("constraints", 0, "scope"), [False, True]),
     _set(("predicates", 0, "truth_table"), [0.0, 1.0, 1.0, 0.0]),
+    _set(("degree_index",), [[0, 2.0], [0, 1], [1, 2]]),
+    _set(("degree_index",), [[0], [0, 1], [1, 2]]),
+    _set(("degree_index",), {"0": [0, 2]}),
 ], ids=["float-scope", "string-q", "missing-key", "null-scope", "bool-scope",
-        "float-truth-table"])
+        "float-truth-table", "float-degree-index", "wrong-degree-index",
+        "object-degree-index"])
 def test_malformed_instance_exits_2_with_one_line(tmp_path, edit):
     data = instance_to_json(corpus.triangle())
     edit(data)
@@ -288,10 +303,12 @@ def test_oracle_outputs_golden(tmp_path, name, run):
 
 
 # sha256 of the gap outputs on the triangle (N 4, T 2, seed 5 for `gap gen`), as of
-# the blow-up generators and transcript process before the one-relabel-step form
+# the blow-up generators and transcript process before the one-relabel-step form; the
+# two `gap gen` files as of the saved slot layout (`degree_index`, written after the
+# constraints; without it they hash as before)
 GAP_SHA256 = {
-    "gen-opt": "a6d328c757893ce27ad6271a102593de42405795bf8bfac80a9735f2b5a7bfca",
-    "gen-lp": "f56ebf48c02140fd24baae0387053f15926781f9287fd4bc8f05f3d648cd755d",
+    "gen-opt": "a8de0a057ef2a40a4f23ee6058f3e6068f6150cc2367409c236fda212ede8a75",
+    "gen-lp": "23feab8bb887c176a144396fcf9ae5a0ff147313c1284864410971211a70ea43",
     "gen-lp-alpha": "ed64f907ef6b072241c006c1dab43bb3d0da4a1b79aeebe20280f899dc56940a",
     "collide": "d0075cee4e2c618feb47e79b6ff756bdbfd5c8b06c7fe2ccd12ab7671b6e6d6d",
     "verify": "a6c67e366566b1bdf6ae14b20022a2183af24ad6b5c3cc1ca8392afba70e53c6",

@@ -249,7 +249,7 @@ class TestDistance:
 
 class TestSumEstimator:
     def test_constant_function_exact(self):
-        est = sum_estimator(lambda i: 0.7, 50, 1.0, 0.2, 0.1, seed=3)
+        est = sum_estimator(np.full(50, 0.7), 50, 1.0, 0.2, 0.1, seed=3)
         assert est == pytest.approx(0.7 * 50)
 
     def test_sample_count_formula(self):

@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 from csplp import corpus
-from csplp.csp import Constraint, brute_force_opt, build_instance, evaluate
+from csplp.csp import (
+    Constraint,
+    ConstraintOracle,
+    brute_force_opt,
+    build_instance,
+    evaluate,
+    load_instance,
+    save_instance,
+)
 from csplp.errors import ArityMismatch, InfeasibleSeedSolution, UnseenVariableQuery
 from csplp.gaplab import (
     GapParams,
@@ -331,3 +339,19 @@ def test_outputs_golden():
                     except InfeasibleSeedSolution:
                         record.append("InfeasibleSeedSolution")
     assert hashlib.sha256(repr(record).encode()).hexdigest() == GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("gen", [gen_opt_instance, gen_lp_instance])
+def test_saved_blowup_keeps_slot_layout(gen, tmp_path):
+    # at T = 2 the generators scatter each variable's slots into per-block
+    # layouts, which a reload must keep: every (v, i) answer stays the same
+    tri = corpus.triangle()
+    _, sol = solve_basic_lp(tri)
+    inst = gen(GapParams(tri, sol.x, sol.mu, 4, 2, 5)).instance
+    path = tmp_path / "blowup.json"
+    save_instance(inst, path)
+    back = load_instance(path)
+    answers = [[oracle.query(v, i) for v in range(inst.n) for i in range(1, inst.t + 1)]
+               for oracle in (ConstraintOracle(inst), ConstraintOracle(back))]
+    assert answers[0] == answers[1]
+    assert back == inst

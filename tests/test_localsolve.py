@@ -186,9 +186,17 @@ class TestLocalEqualsGlobal:
         # the entry of a single run over the whole program
         insts = corpus.local_corpus(12, seed=7)[:6]
         insts += [corpus.component_union(5, pieces=6), corpus.triangle(), corpus.single()]
-        for inst in insts:
+        cases = [(inst, LocalSolverParams()) for inst in insts]
+        # a 40-cycle at few rounds, where every ball is smaller than the instance
+        cons = [Constraint(0, (i, (i + 1) % 40), 1.0) for i in range(40)]
+        cycle = build_instance(2, 2, 2, 1.0, 40, [corpus.neq_predicate(2)], cons)
+        cases += [(cycle, LocalSolverParams(rounds_cap=cap)) for cap in (1, 2, 4)]
+        for inst, solver in cases:
             pp = PipelineParams.for_instance(inst, 0.2)
-            lo = LpOracle(ConstraintOracle(inst), pp)
+            lo = LpOracle(ConstraintOracle(inst), pp, solver)
+            if inst is cycle:
+                ball = build_ball(ConstraintOracle(inst), ("x", 0, 0), lo.rounds + 1)
+                assert len(ball.known_vars) < inst.n
             ref = normalize_packing(to_packing(inst, pp), pp)
             dyn = PackingDynamics(ref.col_labels, [c for c, _ in ref.row_entries],
                                   [k for _, k in ref.row_entries], ref.c)

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,7 +114,7 @@ class TestNormalize:
             pp.solve_exact()
 
     def test_single_stats_and_restricted_form(self, single):
-        params = dataclasses.replace(params_for(single, 0.25), C=100.0)
+        params = params_for(single, 0.25)
         pp = normalize_packing(to_packing(single, params), params)
         assert pp.coef.min() >= 1.0 - 1e-12
         # c_max stays within a small multiple of C (w + q^s)
@@ -235,11 +233,11 @@ class TestRestoreRepair:
                 assert sol.x[v, a] == pytest.approx(cols[("xbar", v, a)], abs=1e-6)
 
     def test_drifted_pair_resets_block(self, single):
-        params = dataclasses.replace(params_for(single, 0.25), eps_reset=0.3)
+        params = params_for(single, 0.25)
         lp3 = to_packing(single, params)
         _, cols = solve_lp(lp3)
         cols[("x", 0, 0)] = 0.25
-        cols[("xbar", 0, 0)] = 0.25  # pair sums to 0.5: gap 0.5 >= 0.3
+        cols[("xbar", 0, 0)] = 0.25  # pair sums to 0.5: gap 0.5 >= eps = 0.25
         sol, report = restore_and_repair(single, cols, params, lp3)
         assert report["reset_variables"] == [0]
         assert np.allclose(sol.x[0], 0.5)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from csplp import corpus
+from csplp import corpus, rounding
 from csplp.csp import Constraint, ConstraintOracle, brute_force_opt, build_instance, evaluate
 from csplp.errors import FoldTooLarge
 from csplp.lp import LpSolution, infeasibility, solve_basic_lp
@@ -212,14 +212,12 @@ class TestRound:
         assert res.assignment_query(3) == 0
 
     def test_fold_budget(self):
-        inst = corpus.horn_satisfiable(5, n=10, m=12)
-        _, sol = solve_basic_lp(inst)
-        # force one bucket per variable
-        sol.x = np.linspace(0.05, 0.95, inst.n)[:, None] * np.array([1.0, 1.0])
-        oracle = SolutionLpOracle(inst, sol)
+        inst = corpus.horn_satisfiable(5, n=24, m=30)
+        # one bucket per variable: 2^24 folded assignments, past ASSIGNMENT_BUDGET
+        x = np.linspace(0.05, 0.95, inst.n)[:, None] * np.array([1.0, 1.0])
+        oracle = SolutionLpOracle(inst, LpSolution(x, {}, 0.0))
         with pytest.raises(FoldTooLarge):
-            round_assignment(ConstraintOracle(inst), oracle, 0.3, 1,
-                             assignment_budget=4, eps_fold=1e-4)
+            round_assignment(ConstraintOracle(inst), oracle, 0.3, 1)
 
     def test_assignment_queries_deterministic_and_bucket_constant(self):
         tri = corpus.triangle()
@@ -235,7 +233,7 @@ class TestRound:
             rule = res.folded_assignment[res.fold.bucket_of(v)]
             assert a == (res.fold.draw(v, 3) if rule == DRAW else rule)
 
-    def test_no_shared_spread_bucket_keeps_constant_enumeration(self):
+    def test_no_shared_spread_bucket_keeps_constant_enumeration(self, monkeypatch):
         # The boundaries of the draw rule.  In the gadget copies every bucket
         # is a point mass and no constraint stays inside a bucket; the spread
         # triangle puts each variable in a bucket of its own; in the point-mass
@@ -270,9 +268,9 @@ class TestRound:
                 best = max(range(len(betas)), key=lambda i: (res.transcript[i][1], -i))
                 assert res.folded_assignment == betas[best]
         # the budget still counts constants only, so FoldTooLarge is unchanged
+        monkeypatch.setattr(rounding, "ASSIGNMENT_BUDGET", 2 ** 2 - 1)
         with pytest.raises(FoldTooLarge):
-            round_assignment(ConstraintOracle(gadget), gadget_oracle, 0.3, 0,
-                             assignment_budget=2 ** 2 - 1)
+            round_assignment(ConstraintOracle(gadget), gadget_oracle, 0.3, 0)
 
 
 class TestTester:

@@ -39,10 +39,9 @@ def test_equalities_and_inequalities():
 
 
 def test_ge_rows():
-    # min x + y  s.t. x + 2y >= 4, 3x + y >= 6  (classic diet-style LP)
-    x, val = simplex.solve([1.0, 1.0], [[1, 2], [3, 1]], [">=", ">="], [4.0, 6.0],
-                           maximize=False)
-    assert val == pytest.approx(2.8, abs=1e-7)
+    # min x + y  s.t. x + 2y >= 4, 3x + y >= 6  (classic diet-style LP), as max -x - y
+    x, val = simplex.solve([-1.0, -1.0], [[1, 2], [3, 1]], [">=", ">="], [4.0, 6.0])
+    assert -val == pytest.approx(2.8, abs=1e-7)
 
 
 def test_infeasible():
@@ -69,9 +68,9 @@ def test_iteration_limit_is_a_package_error():
 
 
 def test_negative_rhs_normalization():
-    # x >= 1 written as -x <= -1, minimize x
-    x, val = simplex.solve([1.0], [[-1.0]], ["<="], [-1.0], maximize=False)
-    assert val == pytest.approx(1.0, abs=1e-9)
+    # x >= 1 written as -x <= -1, minimize x as max -x
+    x, val = simplex.solve([-1.0], [[-1.0]], ["<="], [-1.0])
+    assert -val == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -167,8 +166,9 @@ def _highs(c, A, senses, b, maximize):
 def test_sparse_degenerate_lps_against_highs(lp):
     c, A, senses, b, maximize = lp
     expected = _highs(c, A, senses, b, maximize)
+    sign = 1.0 if maximize else -1.0  # a minimization is solved as max -c
     try:
-        x, val = simplex.solve(c, A, senses, b, maximize=maximize)
+        x, val = simplex.solve(sign * c, A, senses, b)
     except Infeasible:
         got = "infeasible"
     except Unbounded:
@@ -179,7 +179,7 @@ def test_sparse_degenerate_lps_against_highs(lp):
     assert got == (expected if isinstance(expected, str) else "optimal")
     if got != "optimal":
         return
-    assert val == pytest.approx(expected, abs=1e-7)
+    assert sign * val == pytest.approx(expected, abs=1e-7)
     assert (x >= 0).all()
     act = A @ x
     for i, s in enumerate(senses):
