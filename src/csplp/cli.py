@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from . import corpus
@@ -313,14 +314,39 @@ def cmd_named(args):
 
 # --- parser ------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 2 with one `error:` line on bad arguments, as on any other validation problem."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
+def _ranged(kind, ok, what):
+    """An argparse type: `kind` of the text, rejected unless `ok` holds."""
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    return parse
+
+
+_ROUNDS_CAP = _ranged(int, lambda k: k >= 1, "an integer of at least 1")
+_UNIT_EPSILON = _ranged(float, lambda e: 0.0 < e <= 1.0, "a number in (0, 1]")
+_POSITIVE = _ranged(float, lambda e: 0.0 < e < math.inf, "a finite number above 0")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="csplp", description=__doc__)
+    p = _Parser(prog="csplp", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     def common_lp(sp):
         sp.add_argument("--lp-epsilon", type=float, default=0.2,
                         help="slack of the relaxation behind the local oracle")
-        sp.add_argument("--rounds-cap", type=int, default=64)
+        sp.add_argument("--rounds-cap", type=_ROUNDS_CAP, default=64)
         sp.add_argument("--jobs", type=int, default=1,
                         help="parallel workers for independent trials")
 
@@ -342,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("local-lp", help="query the local LP oracle")
     sp.add_argument("--instance", required=True)
     sp.add_argument("--epsilon", type=float, default=0.2)
-    sp.add_argument("--rounds-cap", type=int, default=64)
+    sp.add_argument("--rounds-cap", type=_ROUNDS_CAP, default=64)
     sp.add_argument("--query", help="column name, x:v:a or mu:cid:b1,b2")
     sp.add_argument("--assemble", action="store_true")
     sp.add_argument("--csv", default="-")
@@ -350,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("round", help="rounding trials against the local oracle")
     sp.add_argument("--instance", required=True)
-    sp.add_argument("--epsilon", type=float, required=True)
+    sp.add_argument("--epsilon", type=_UNIT_EPSILON, required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--trials", type=int, default=1)
     sp.add_argument("--budget", type=int, default=2 ** 26)
@@ -360,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("test-sat", help="satisfiability tester trials")
     sp.add_argument("--instance", required=True)
-    sp.add_argument("--epsilon", type=float, required=True)
+    sp.add_argument("--epsilon", type=_UNIT_EPSILON, required=True)
     sp.add_argument("--delta", type=float)
     sp.add_argument("--family", default="horn-sat")
     sp.add_argument("--seed", type=int, default=0)
@@ -390,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--seed-instance", required=True)
     sv.add_argument("--N", type=int, default=6)
     sv.add_argument("--T", type=int, default=32)
-    sv.add_argument("--epsilon", type=float, default=0.15)
+    sv.add_argument("--epsilon", type=_POSITIVE, default=0.15)
     sv.add_argument("--trials", type=int, default=5)
     sv.add_argument("--seed", type=int, default=0)
     sv.add_argument("--budget", type=int, default=2 ** 26)

@@ -182,6 +182,36 @@ class ConstraintOracle:
         return self.instance.constraints[cid]
 
 
+class RevealMemo:
+    """The `ConstraintOracle` surface over an oracle, asking each question once.
+
+    A (v, i) slot or a constraint payload goes to the wrapped oracle the
+    first time it is asked and is read from memory after that, so the
+    wrapped counter meters distinct reveals.  `asked` counts every question,
+    answered from memory or not: its delta over a computation is what that
+    computation would cost on a fresh oracle.
+    """
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.instance = oracle.instance
+        self.asked = 0
+        self._slots: dict = {}
+        self._payloads: dict = {}
+
+    def query(self, v: int, i: int):
+        self.asked += 1
+        if (v, i) not in self._slots:
+            self._slots[v, i] = self.oracle.query(v, i)
+        return self._slots[v, i]
+
+    def constraint(self, cid: int) -> Constraint:
+        self.asked += 1
+        if cid not in self._payloads:
+            self._payloads[cid] = self.oracle.constraint(cid)
+        return self._payloads[cid]
+
+
 def evaluate(instance: CspInstance, assignment) -> float:
     """Exact weighted satisfied count; repeated scope positions read the same value."""
     total = 0.0

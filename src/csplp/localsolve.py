@@ -32,11 +32,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
 
-from .csp import ConstraintOracle, CspInstance
+from .csp import ConstraintOracle, CspInstance, RevealMemo
 from .lp import LpSolution, marginal_rows
 from .pipeline import PackingProgram, PipelineParams, packing_rows, repair_blocks, restricted
 
@@ -151,19 +152,40 @@ class PackingDynamics(PackingProgram):
 
     def ascend(self, z: np.ndarray, rounds: int, eta: float) -> np.ndarray:
         z = z.copy()
+        padded = np.full(self.num_rows + 1, np.inf)  # slack per row, then inf
+        slack = padded[:-1]
         for _ in range(rounds):
-            slack = (self.c - self.loads(z)) / self.c
-            worst = np.full_like(z, np.inf)
-            np.minimum.at(worst, self.col, slack[self.row])
-            z *= np.clip(1.0 + eta * worst, 1.0, 1.0 + eta)
+            np.subtract(self.c, self.loads(z), out=slack)
+            slack /= self.c
+            step = self._column_min(padded)
+            step *= eta
+            step += 1.0
+            z *= np.minimum(np.maximum(step, 1.0, out=step), 1.0 + eta, out=step)
         return z
 
     def rescale_feasible(self, z: np.ndarray) -> np.ndarray:
         """Phase-2 column scaling against the phase-1 loads."""
         caps = np.minimum(1.0, self.c / self.loads(z))
-        factor = np.ones(self.num_cols)
-        np.minimum.at(factor, self.col, caps[self.row])
-        return z * factor
+        return z * self._column_min(np.append(caps, 1.0))
+
+    @cached_property
+    def _rows_by_column(self) -> np.ndarray:
+        """Row index table, (most entries of one column) x columns: slot k of a
+        column holds the row of its k-th entry, or `num_rows` past its last."""
+        counts = np.bincount(self.col, minlength=self.num_cols)
+        order = np.argsort(self.col, kind="stable")
+        slot = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
+        table = np.full((counts.max(initial=0), self.num_cols), self.num_rows)
+        table[slot, self.col[order]] = self.row[order]
+        return table
+
+    def _column_min(self, padded: np.ndarray) -> np.ndarray:
+        """Per column, the least of `padded[-1]` and `padded` over the column's rows.
+
+        A minimum is exact in any order, so this is `np.minimum.at` over the
+        entries from `padded[-1]`, as one gather and one reduction.
+        """
+        return padded[self._rows_by_column].min(axis=0, initial=padded[-1])
 
 
 class BallProgram(PackingDynamics):
@@ -193,12 +215,12 @@ class LpOracle:
     Each query explores its own ball, runs the two-phase dynamics, undoes the
     packing scalings and applies the block-reset repair.  Across calls the
     oracle keeps only the underlying query counter and `last_query_cost`, the
-    query cost of the latest `query` or `packing_value`.  Within one
-    `query_many` call, a name whose ball equals the previous name's reuses
-    that ball's solved program; the ball is still explored, so every name
-    is counted at its full query cost.  Output values are in basic
-    coordinates: marginals of unreset blocks are 1 - x_stage2, reset blocks
-    are uniform, and tables touching a reset block become product
+    query cost of the latest `query` or `packing_value`.  Counted queries
+    are distinct reveals per call: within one `query_many` call a slot or
+    payload already revealed is read from memory, while each name's
+    reported cost is still its stand-alone ball cost.  Output values are in
+    basic coordinates: marginals of unreset blocks are 1 - x_stage2, reset
+    blocks are uniform, and tables touching a reset block become product
     distributions.
     """
 
@@ -236,26 +258,33 @@ class LpOracle:
     def query_many(self, names) -> tuple[list[float], list[int]]:
         """Repaired values of `names`, in order, and each name's query cost.
 
-        Each name explores its own ball, so values and costs are exactly
-        those of `query` called once per name.  Consecutive names whose
-        balls hold the same variables and constraints build the same program,
-        so the last ball's program and phase-2 vector are kept and reused;
-        the memo ends with the call.
+        Values and costs are exactly those of `query` called once per name:
+        a name's cost is what its ball costs on its own.  The underlying
+        counter is charged once per distinct slot and payload the call
+        reveals, through one `RevealMemo`.  Consecutive names with the same
+        anchor (the variable of an x name, the constraint of a mu name)
+        share one ball, and consecutive balls holding the same variables
+        and constraints share one solved program; all of this ends with the
+        call.
         """
+        memo = RevealMemo(self.oracle)
         values, costs = [], []
-        key = prog = z2 = None
+        anchor = key = view = prog = z2 = cost = None
         for name in names:
             kind = name[0]
             if kind not in ("x", "mu"):
                 raise ValueError(f"unknown oracle name {name}")
-            before = self.oracle.query_count
-            view = build_ball(self.oracle, name, self.rounds + (1 if kind == "x" else 2))
-            ball_key = (sorted(view.known_vars), sorted(view.constraints))
-            if ball_key != key:
-                key = ball_key
-                prog, z2 = self._solve(view)
+            if name[:2] != anchor:
+                anchor = name[:2]
+                before = memo.asked
+                view = build_ball(memo, name, self.rounds + (1 if kind == "x" else 2))
+                cost = memo.asked - before
+                ball_key = (sorted(view.known_vars), sorted(view.constraints))
+                if ball_key != key:
+                    key = ball_key
+                    prog, z2 = self._solve(view)
             values.append(self._repaired(name, view, prog, z2))
-            costs.append(self.oracle.query_count - before)
+            costs.append(cost)
         return values, costs
 
     def _repaired(self, name, view, prog: BallProgram, z2: np.ndarray) -> float:

@@ -103,13 +103,20 @@ def relax_basic_lp(instance: CspInstance, epsilon: float) -> LinearProgram:
         np.concatenate([col, np.arange(ncols)]), np.ones(len(row) + ncols))
 
 
-def to_packing(instance: CspInstance, params: PipelineParams) -> LinearProgram:
+def to_packing(instance: CspInstance, params: PipelineParams) -> PackingRows:
     """Stage 2: complement columns, <=-only rows, reward C on every column."""
     return packing_rows(instance, params)
 
 
+@dataclass
+class PackingRows(LinearProgram):
+    """A stage-2 program with the mask of its r3 and r6 rows, the rows `restricted` boosts."""
+
+    boosted: np.ndarray       # per row
+
+
 def packing_rows(instance: CspInstance, params: PipelineParams, variables=None,
-                 constraint_ids=None) -> LinearProgram:
+                 constraint_ids=None) -> PackingRows:
     """The stage-2 packing program restricted to a subset; the whole instance by default.
 
     This is the only place packing rows are written: `to_packing`,
@@ -117,7 +124,7 @@ def packing_rows(instance: CspInstance, params: PipelineParams, variables=None,
     program (per ball) all read it.  Every distinct variable of a listed
     constraint must be listed.  Column blocks are x, xbar, mu, mubar; rows
     come as r1, r2, r3/r4 (the two halves of each marginal row), r5, r6,
-    all of them <= rows.
+    all of them <= rows; the r3 and r6 rows are marked `boosted`.
     """
     q, C, eps = instance.q, params.C, params.epsilon
     m = marginal_rows(instance, variables, constraint_ids)
@@ -142,11 +149,13 @@ def packing_rows(instance: CspInstance, params: PipelineParams, variables=None,
     tags += [("r5",) + label[1:] for label in m.x_labels]
     tags += [("r6",) + label[1:] for label in m.mu_labels]
     reward = np.concatenate([np.full(2 * nx, C), m.mu_objective + C, np.full(nmu, C)])
-    return LinearProgram(labels, reward, tags, ["<="] * len(rhs), rhs, row, col,
-                         np.ones(len(col)))
+    boosted = np.concatenate([np.zeros(n12, dtype=bool), np.tile([True, False], nmarg),
+                              np.zeros(nx, dtype=bool), np.ones(nmu, dtype=bool)])
+    return PackingRows(labels, reward, tags, ["<="] * len(rhs), rhs, row, col,
+                       np.ones(len(col)), boosted)
 
 
-def restricted(lp3: LinearProgram, params: PipelineParams):
+def restricted(lp3: PackingRows, params: PipelineParams):
     """Stage 3 of a stage-2 program: scale columns by reward, rows to coefficient floor one.
 
     Rows carrying objective-bearing table columns (r3, r6) are multiplied
@@ -155,8 +164,7 @@ def restricted(lp3: LinearProgram, params: PipelineParams):
     surviving coefficient >= 1 while the objective becomes the plain sum
     of the scaled columns.  Returns (coefficient per entry, rhs per row).
     """
-    boosted = np.array([tag[0] in ("r3", "r6") for tag in lp3.tags], dtype=bool)
-    mult = np.where(boosted, params.w + params.C, params.C)
+    mult = np.where(lp3.boosted, params.w + params.C, params.C)
     return lp3.coef * mult[lp3.row] / lp3.objective[lp3.col], lp3.rhs * mult
 
 
@@ -258,7 +266,7 @@ class PackingProgram:
         return value, z
 
 
-def normalize_packing(lp3: LinearProgram, params: PipelineParams) -> PackingProgram:
+def normalize_packing(lp3: PackingRows, params: PipelineParams) -> PackingProgram:
     """Stage 3 of a stage-2 program: the `restricted` scaling."""
     return PackingProgram(lp3.labels, lp3.tags, lp3.row, lp3.col, *restricted(lp3, params),
                           lp3.objective)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csp import ConstraintOracle, CspInstance, build_instance, sum_estimator
+from .csp import ConstraintOracle, CspInstance, RevealMemo, build_instance, sum_estimator
 from .errors import FoldTooLarge
 
 ASSIGNMENT_BUDGET = 2 ** 20  # most folded assignments `round_assignment` enumerates
@@ -205,7 +205,7 @@ class RoundingResult:
     estimate: float
     folded_assignment: tuple[int, ...] | None
     fold: FoldingMap | None
-    transcript: list          # (assignment, estimate, oracle queries used)
+    transcript: list          # (assignment, estimate, new slots revealed for it)
     short_circuited: bool = False
     draw_seed: int | None = None
 
@@ -239,8 +239,12 @@ def round_assignment(oracle: ConstraintOracle, lp_oracle, epsilon: float,
     below epsilon * n any answer is within the additive slack already; we
     return a flagged zero-estimate result.
 
-    The n*q marginals are read through one `lp_oracle.query_many` call, so
-    names that share a ball share its solve while each is still counted.
+    Counted queries are distinct reveals per trial.  The n*q marginals
+    are read through one `lp_oracle.query_many` call, which charges its
+    oracle once per slot its balls reveal.  The bucket scan and every
+    candidate's estimate read the base oracle through one `RevealMemo`, so
+    a slot is charged to the first candidate that reads it, and the
+    transcript's query column counts each candidate's new reveals.
     """
     inst = oracle.instance
     if inst.total_weight < epsilon * inst.n or inst.n == 0:
@@ -251,7 +255,8 @@ def round_assignment(oracle: ConstraintOracle, lp_oracle, epsilon: float,
     x = np.array(values).reshape(inst.n, q)
     fm = fold_map(x, default_fold_eps(inst, epsilon))
 
-    shared = shared_buckets(oracle, fm)
+    memo = RevealMemo(oracle)
+    shared = shared_buckets(memo, fm)
     rules = [tuple(range(q)) + ((DRAW,) if b in shared else ())
              for b in range(fm.bucket_count)]
     count = math.prod(len(r) for r in rules)
@@ -265,7 +270,7 @@ def round_assignment(oracle: ConstraintOracle, lp_oracle, epsilon: float,
     for beta in itertools.product(*rules):
         sub_seed = int(rng.integers(0, 2 ** 62))
         before = oracle.query_count
-        est = estimate_assignment_value(oracle, fm, beta, epsilon, delta, sub_seed, seed)
+        est = estimate_assignment_value(memo, fm, beta, epsilon, delta, sub_seed, seed)
         transcript.append((beta, est, oracle.query_count - before))
         if est > best_est:
             best_beta, best_est = beta, est

@@ -59,6 +59,30 @@ def test_local_lp_malformed_query_exits_2_with_one_line(tri_path, name, capsys):
     assert len(out.err.splitlines()) == 1 and out.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["local-lp", "--query", "x:0:0", "--rounds-cap", "0"],
+    ["local-lp", "--query", "x:0:0", "--rounds-cap", "-3"],
+    ["round", "--epsilon", "0.3", "--rounds-cap", "0"],
+    ["test-sat", "--epsilon", "0.3", "--rounds-cap", "0"],
+    ["round", "--epsilon", "1.5"],
+    ["round", "--epsilon", "0"],
+    ["test-sat", "--epsilon", "1.5"],
+    ["test-sat", "--epsilon", "-0.2"],
+    ["gap", "verify", "--epsilon", "0"],
+    ["gap", "verify", "--epsilon", "-1"],
+], ids=["local-lp-cap-0", "local-lp-cap-negative", "round-cap-0", "test-sat-cap-0",
+        "round-eps-above-1", "round-eps-0", "test-sat-eps-above-1", "test-sat-eps-negative",
+        "gap-verify-eps-0", "gap-verify-eps-negative"])
+def test_out_of_range_option_exits_2_with_one_line(tri_path, argv, capsys):
+    instance = ["--seed-instance" if argv[0] == "gap" else "--instance", tri_path]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv + instance)
+    assert exit_info.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1 and out.err.startswith("error: ")
+
+
 def test_local_lp_assemble_names_round_trip(tri_path):
     out = run_cli("local-lp", "--instance", tri_path, "--assemble")
     assert out.returncode == 0
@@ -267,20 +291,21 @@ def test_pipeline_dump_golden(tmp_path, name, stage):
 
 
 # sha256 of the local-oracle CSVs on DUMP_INSTANCES and one Horn instance, as of
-# the oracle with two epsilons and two ball-solve paths
+# the oracle with two epsilons and two ball-solve paths; the `round` CSVs as of
+# counting distinct reveals per trial (only their query_cost column moved)
 ORACLE_SHA256 = {
     ("triangle", "assemble"): "5316ea7e1e1798609e8266ab80334e04eec901ba6c670ed012f97790925ba3e2",
     ("triangle", "query"): "466ddbfdc15436100f05b7f72d7d9a80d383be507d9939f3ce9301c2e414a6a5",
-    ("triangle", "round"): "8ba05e3928c815f4639659bfc842f5b4c286334e2e53149ca42685ae002a1036",
+    ("triangle", "round"): "b3007d19bbf52b197f641d0b625202a09a2e72eaf9fa5b8c0734bf025ef03d05",
     ("random", "assemble"): "5b3ca1eb6d7c78f0e2d8570e2d927a631a90c083d6a81f00e3a7e33b7828f6ac",
     ("random", "query"): "8f45491e37c3b033149f0d8fea69ed8fce51e63374c1da651c0ee36af3a37a7c",
-    ("random", "round"): "4e6a3f77c85e9443a5b36a9912365f12eab311d9119482ea1b32aa63a790a8a4",
+    ("random", "round"): "aa4b9cb715240d8310465155dcc1a38e6f61436a7f05b15d3a4ac1f654f388c3",
     ("union", "assemble"): "1f6ceb3805817fc9ab7a593449268213b878e96a2b8d4bd92d787af81b31e734",
     ("union", "query"): "72d4cc5f5a2b6aab3ec0f573ad2c512281a49ab3329b78c9ff56230847923b84",
-    ("union", "round"): "0521a8412e2c9798ddbd6182395c95fad30e355e7431a364b770452d1a7739f2",
+    ("union", "round"): "5ad20680f7aa0c59da87d010f902ef794317e935c99670ae632a8f64f9c4842a",
     ("horn", "assemble"): "f1783d0659cab968e70f8c69f2ebf434138403655b7b68df4fab4fde2366d040",
     ("horn", "query"): "7fafbbe8f5931e6625f44a5a011f9a7dd6691201586ace94d6af8ed318971987",
-    ("horn", "round"): "623c0ac6ea654138054e21d95331a07b6640a2023bec3daf39f21b9d4c6c26f2",
+    ("horn", "round"): "e5ebaaadfbd2fb5fb4ec20045dcfd3f9a423eaa1abeda7f7fa246d537b0110b2",
     ("horn", "test-sat"): "74c115d73fb7b5d06fd1c72129ee2debb2258444a74cc034b98c7ded7f75ad0c",
 }
 ORACLE_RUNS = {

@@ -233,6 +233,20 @@ class TestRound:
             rule = res.folded_assignment[res.fold.bucket_of(v)]
             assert a == (res.fold.draw(v, 3) if rule == DRAW else rule)
 
+    def test_trial_reads_each_slot_once(self):
+        # the bucket scan and every candidate's estimate share one reveal
+        # memo, and the marginals one `query_many` call, so a trial pays for
+        # each (v, i) slot at most once on either oracle
+        for n in (16, 32, 64):
+            inst = corpus.horn_satisfiable(n, n=n, m=round(1.25 * n))
+            base, lp_oracle = ConstraintOracle(inst), local_oracle(inst)
+            res = round_assignment(base, lp_oracle, 0.3, seed=n)
+            # every candidate scans the same slots, so only the first reveals any
+            assert res.transcript[0][2] > 0 and len(res.transcript) > 1
+            assert all(queries == 0 for _, _, queries in res.transcript[1:])
+            assert base.query_count <= n * inst.t
+            assert lp_oracle.oracle.query_count <= n * inst.t
+
     def test_no_shared_spread_bucket_keeps_constant_enumeration(self, monkeypatch):
         # The boundaries of the draw rule.  In the gadget copies every bucket
         # is a point mass and no constraint stays inside a bucket; the spread
