@@ -49,11 +49,15 @@ class LocalSolverParams:
     eta: ClassVar[float] = 0.25
     rounds_cap: int = 64
 
+    def __post_init__(self):
+        if self.rounds_cap < 1:
+            raise ValueError(f"rounds_cap must be at least 1, got {self.rounds_cap}")
+
     def rounds(self, epsilon: float, gamma_p: float, gamma_d: float) -> int:
         """log Gamma_p * log Gamma_d / eps^4 rounds, capped; eps is the pipeline's."""
         raw = math.log(max(gamma_p, 2.0)) * math.log(max(gamma_d, 2.0))
         raw /= epsilon ** 4
-        return max(1, min(self.rounds_cap, int(math.ceil(raw))))
+        return min(self.rounds_cap, int(math.ceil(raw)))
 
 
 def analytic_gamma_bounds(pp: PipelineParams):
@@ -88,13 +92,20 @@ class CommGraphView:
     `scanned` holds variables whose full index list was read (t queries
     each, memoized); `known_vars` additionally contains scope members at the
     boundary.  `constraints` maps revealed constraint ids to their data.
-    The oracle's own counter meters the queries.
+    `level` is the BFS level of each scanned variable (the anchors are level
+    0) and `depth` the deepest level.  `closed` says the frontier emptied
+    within the radius: every known variable was scanned, so the ball is the
+    whole component of its anchors.  The oracle's own counter meters the
+    queries.
     """
 
     def __init__(self):
         self.scanned: set[int] = set()
         self.known_vars: set[int] = set()
         self.constraints: dict[int, object] = {}
+        self.level: dict[int, int] = {}
+        self.depth = 0
+        self.closed = False
 
 
 def build_ball(oracle: ConstraintOracle, center, radius: int) -> CommGraphView:
@@ -103,12 +114,14 @@ def build_ball(oracle: ConstraintOracle, center, radius: int) -> CommGraphView:
     view = CommGraphView()
     frontier = sorted(_anchor_vars(oracle, center))
     view.known_vars.update(frontier)
-    for _ in range(radius + 1):
+    for depth in range(radius + 1):
+        view.depth = depth
         next_frontier: set[int] = set()
         for v in frontier:
             if v in view.scanned:
                 continue
             view.scanned.add(v)
+            view.level[v] = depth
             for i in range(1, inst.t + 1):
                 cid = oracle.query(v, i)
                 if cid is None or cid in view.constraints:
@@ -120,6 +133,7 @@ def build_ball(oracle: ConstraintOracle, center, radius: int) -> CommGraphView:
                         next_frontier.add(u)
                     view.known_vars.add(u)
         if not next_frontier:
+            view.closed = True
             break
         frontier = sorted(next_frontier)
     return view
@@ -218,7 +232,10 @@ class LpOracle:
     query cost of the latest `query` or `packing_value`.  Counted queries
     are distinct reveals per call: within one `query_many` call a slot or
     payload already revealed is read from memory, while each name's
-    reported cost is still its stand-alone ball cost.  Output values are in
+    reported cost is still its stand-alone ball cost.  Within one call a
+    ball that is a whole component is explored once for the x names whose
+    own ball provably equals it, and all such balls share one dynamics run
+    (see `query_many`); nothing is kept between calls.  Output values are in
     basic coordinates: marginals of unreset blocks are 1 - x_stage2, reset
     blocks are uniform, and tables touching a reset block become product
     distributions.
@@ -263,28 +280,60 @@ class LpOracle:
         counter is charged once per distinct slot and payload the call
         reveals, through one `RevealMemo`.  Consecutive names with the same
         anchor (the variable of an x name, the constraint of a mu name)
-        share one ball, and consecutive balls holding the same variables
-        and constraints share one solved program; all of this ends with the
-        call.
+        share one ball.
+
+        A closed ball is its anchors' whole component.  An x name whose
+        variable sits at level d of a closed x ball of depth E, with
+        d + E within its own radius, would explore that same component, so
+        it reuses the ball and its cost without a BFS.  Every name with a
+        closed ball is answered after the loop from one program over the
+        union of the call's closed components, with one dynamics run; the
+        union is the whole-instance program restricted to those
+        components, so the values are unchanged.  Open balls are solved
+        one at a time, and consecutive open balls holding the same
+        variables and constraints share one solved program.  The call thus
+        holds at most the instance's program plus one open ball, and all
+        of it ends with the call.
         """
         memo = RevealMemo(self.oracle)
-        values, costs = [], []
+        t = self.oracle.instance.t
+        values, costs, deferred = [None] * len(names), [], []
+        whole = CommGraphView()   # union of the call's closed balls
+        closed_x = {}             # variable -> a closed x ball scanning it
         anchor = key = view = prog = z2 = cost = None
-        for name in names:
+        for pos, name in enumerate(names):
             kind = name[0]
             if kind not in ("x", "mu"):
                 raise ValueError(f"unknown oracle name {name}")
             if name[:2] != anchor:
                 anchor = name[:2]
-                before = memo.asked
-                view = build_ball(memo, name, self.rounds + (1 if kind == "x" else 2))
-                cost = memo.asked - before
-                ball_key = (sorted(view.known_vars), sorted(view.constraints))
-                if ball_key != key:
-                    key = ball_key
-                    prog, z2 = self._solve(view)
-            values.append(self._repaired(name, view, prog, z2))
+                radius = self.rounds + (1 if kind == "x" else 2)
+                ball = closed_x.get(name[1]) if kind == "x" else None
+                if ball is not None and ball.level[name[1]] + ball.depth <= radius:
+                    view, cost = ball, t * len(ball.scanned)  # t per scanned variable
+                else:
+                    before = memo.asked
+                    view = build_ball(memo, name, radius)
+                    cost = memo.asked - before
+                    if view.closed:
+                        whole.known_vars |= view.known_vars
+                        whole.constraints.update(view.constraints)
+                        if kind == "x":
+                            closed_x.update(dict.fromkeys(view.scanned, view))
+                    else:
+                        ball_key = (sorted(view.known_vars), sorted(view.constraints))
+                        if ball_key != key:
+                            key = ball_key
+                            prog, z2 = self._solve(view)
             costs.append(cost)
+            if view.closed:
+                deferred.append(pos)
+            else:
+                values[pos] = self._repaired(name, view, prog, z2)
+        if deferred:
+            prog, z2 = self._solve(whole)
+            for pos in deferred:
+                values[pos] = self._repaired(names[pos], whole, prog, z2)
         return values, costs
 
     def _repaired(self, name, view, prog: BallProgram, z2: np.ndarray) -> float:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from csplp import corpus
+from csplp import corpus, localsolve
 from csplp.csp import ConstraintOracle, Constraint, build_instance, connected_components
 from csplp.lp import infeasibility, mu_assignments, solve_basic_lp
 from csplp.localsolve import (
@@ -189,6 +189,11 @@ class TestOracleContract:
         assert sol.value == 0.0
         assert sol.x.shape == (0, 2)
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_rounds_cap_below_one_is_rejected(self, cap):
+        with pytest.raises(ValueError, match="rounds_cap"):
+            LocalSolverParams(rounds_cap=cap)
+
     def test_query_cost_bound(self):
         inst = corpus.random_instance(11, q=2, n=8, m=7, t=4)
         lo, pp = make_oracle(inst, rounds_cap=2)
@@ -291,7 +296,7 @@ class TestQueryMany:
 
     def test_repeated_balls_match_query(self):
         for inst in [corpus.triangle(), corpus.horn_satisfiable(3, n=16, m=20),
-                     corpus.component_union(5, pieces=6)]:
+                     corpus.component_union(5, pieces=6), corpus.horn_far(8)]:
             names = [("x", v, a) for v in range(inst.n) for a in range(inst.q)]
             names += [("mu", cid, beta) for cid, c in enumerate(inst.constraints)
                       for beta in mu_assignments(inst, c)]
@@ -307,6 +312,60 @@ class TestQueryMany:
                  ("mu", 9, (1, 1)), ("x", 0, 0), ("mu", 0, (1, 0)), ("x", 0, 1),
                  ("x", 6, 0), ("x", 6, 0), ("mu", 6, (0, 0))]
         self.assert_matches_query(cycle, names, rounds_cap=1)
+
+    def test_mixed_names_across_components(self):
+        inst = corpus.component_union(5, pieces=6)
+        names = []
+        comps = connected_components(inst)
+        for vs, cids in comps + comps[::-1]:
+            mus = [("mu", cid, beta) for cid in cids[::2]
+                   for beta in mu_assignments(inst, inst.constraints[cid])[::3]]
+            names += mus[:2] + [("x", vs[-1], 1), ("x", vs[0], 0)] + mus[2:]
+        assert {name[0] for name in names} == {"x", "mu"}
+        self.assert_matches_query(inst, names)
+
+    def test_closed_call_runs_dynamics_once(self, monkeypatch):
+        calls = []
+        ascend = PackingDynamics.ascend
+        monkeypatch.setattr(PackingDynamics, "ascend",
+                            lambda self, *a: calls.append(1) or ascend(self, *a))
+        inst = corpus.horn_far(8)
+        lo, _ = make_oracle(inst)
+        names = [("x", v, a) for v in range(inst.n) for a in range(inst.q)]
+        names += [("mu", cid, (0,)) for cid in range(len(inst.constraints))]
+        lo.query_many(names)
+        assert len(calls) == 1
+
+    @staticmethod
+    def path(n):
+        cons = [Constraint(0, (i, i + 1), 1.0) for i in range(n - 1)]
+        return build_instance(2, 2, 2, 1.0, n, [corpus.neq_predicate(2)], cons)
+
+    @pytest.mark.parametrize("n, order, searches", [
+        # the middle's ball closes at depth 1; both ends sit at level 1, and
+        # 1 + 1 is the x radius at one round, so they reuse it
+        (3, [1, 0, 2], 1),
+        # the middle's ball closes at depth 2; level 1 + depth 2 exceeds the
+        # radius, so every other variable searches again, and those balls are open
+        (5, [2, 1, 0, 3, 4], 5),
+    ])
+    def test_reuse_needs_level_plus_depth_within_radius(self, monkeypatch, n, order,
+                                                        searches):
+        names = [("x", v, a) for v in order for a in (0, 1)]
+        self.assert_matches_query(self.path(n), names, rounds_cap=1)
+        calls = []
+        monkeypatch.setattr(localsolve, "build_ball",
+                            lambda *a: calls.append(1) or build_ball(*a))
+        lo, _ = make_oracle(self.path(n), rounds_cap=1)
+        lo.query_many(names)
+        assert len(calls) == searches
+
+    @pytest.mark.parametrize("cap", [1, 2, 4])
+    def test_open_balls_on_cycle_match_query(self, cap):
+        cons = [Constraint(0, (i, (i + 1) % 40), 1.0) for i in range(40)]
+        cycle = build_instance(2, 2, 2, 1.0, 40, [corpus.neq_predicate(2)], cons)
+        names = [("x", v, a) for v in range(40) for a in (0, 1)]
+        self.assert_matches_query(cycle, names, rounds_cap=cap)
 
     def test_rounding_counts_distinct_marginal_reveals(self):
         inst = corpus.horn_satisfiable(3, n=16, m=20)
