@@ -236,9 +236,12 @@ def _scan_assignments(instance: CspInstance, budget: int, weighted: bool):
     weight * truth table over the constraints on that scope (weight 1 when
     `weighted` is false, so the score counts satisfied constraints).  Each
     chunk of `_ENUM_CHUNK` assignments decodes the digits of only the
-    variables some term reads, once, into one buffer that every chunk
-    reuses; besides it a chunk holds its score vector and the index and
-    gathered values of one term at a time.
+    variables some term reads, once, through an int64 quotient buffer into
+    a digit buffer; every chunk reuses both.  Digits and term indices are
+    held in the narrowest unsigned dtype that holds q^k - 1 for the widest
+    term, k its scope length, and each term's index is built in place in
+    one reused buffer; besides these a chunk holds its score vector and
+    the gathered values of one term at a time.
     """
     n, q = instance.n, instance.q
     total = q ** n if n > 0 else 1
@@ -256,21 +259,27 @@ def _scan_assignments(instance: CspInstance, budget: int, weighted: bool):
     row_of = {v: i for i, v in enumerate(used)}
     terms = [(tuple(row_of[v] for v in scope), table) for scope, table in merged.items()]
     pows = np.array([q ** (n - 1 - v) for v in used], dtype=np.int64)[:, None]
-    buffer = np.empty((len(used), min(total, _ENUM_CHUNK)), dtype=np.int64)
+    width = max((len(rows) for rows, _ in terms), default=1)
+    narrow = np.min_scalar_type(q ** width - 1)
+    size = min(total, _ENUM_CHUNK)
+    quotients = np.empty((len(used), size), dtype=np.int64)
+    buffer = np.empty((len(used), size), dtype=narrow)
+    index = np.empty(size, dtype=narrow)
 
     best_score = -1.0
     best_index = 0
     for start in range(0, total, _ENUM_CHUNK):
         stop = min(start + _ENUM_CHUNK, total)
-        digits = buffer[:, :stop - start]
-        np.floor_divide(np.arange(start, stop, dtype=np.int64), pows, out=digits)
-        np.remainder(digits, q, out=digits)
+        quot, digits, idx = quotients[:, :stop - start], buffer[:, :stop - start], index[:stop - start]
+        np.floor_divide(np.arange(start, stop, dtype=np.int64), pows, out=quot)
+        np.remainder(quot, q, out=digits, casting="unsafe")
         score = np.zeros(stop - start, dtype=np.float64)
         for rows, table in terms:
-            idx = digits[rows[0]]
+            np.copyto(idx, digits[rows[0]])
             for r in rows[1:]:
-                idx = idx * q + digits[r]
-            score += table[idx]
+                idx *= q
+                idx += digits[r]
+            score += table.take(idx)
         k = int(np.argmax(score))
         if score[k] > best_score + 1e-12:
             best_score = float(score[k])

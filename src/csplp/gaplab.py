@@ -13,6 +13,7 @@ assume each position owns its own variable block.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
@@ -224,6 +225,88 @@ def switch(constraints, i: int, j: int, pairing):
 
 # --- lazy transcript process ------------------------------------------------------
 
+def _numpy_sum(xs) -> float:
+    """Sum floats in the order numpy's float64 `sum` adds them: in sequence
+    below 8 terms, in 8 interleaved lanes up to 128, halved above that."""
+    n = len(xs)
+    if n < 8:
+        total = 0.0
+        for x in xs:
+            total += x
+        return total
+    if n <= 128:
+        lanes = list(xs[:8])
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            for j in range(8):
+                lanes[j] += xs[i + j]
+        total = (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
+                 + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7])))
+        for x in xs[tail:]:
+            total += x
+        return total
+    half = n // 2 - n // 2 % 8
+    return _numpy_sum(xs[:half]) + _numpy_sum(xs[half:])
+
+
+class _ClassSlots:
+    """The labels placed in one class and their free index slots, by block
+    and by commit.
+
+    Row r is `labels[r]`, the class's r-th placed label.  `free[r, b]` counts
+    its unused slots in block b, and `tag[r, b]` is 0 while (label, b) is
+    uncommitted, else 1 + the index of the local assignment it is committed
+    to.  `mass[b, tag]` is the sum of `free[:, b]` over the rows with that tag
+    and `total[b]` its sum over every tag.  The counts are integers, so every
+    mass and prefix sum is exact.
+    """
+
+    def __init__(self, blocks: int):
+        self.labels: list[int] = []
+        self.free = np.zeros((8, blocks), dtype=np.int64)
+        self.tag = np.zeros((8, blocks), dtype=np.int64)
+        self.mass: Counter = Counter()
+        self.total = [0] * blocks
+
+    def add(self, label: int, T: int) -> int:
+        """Place `label` with T free slots per block; returns its row."""
+        row = len(self.labels)
+        if row == len(self.free):
+            self.free = np.concatenate([self.free, np.zeros_like(self.free)])
+            self.tag = np.concatenate([self.tag, np.zeros_like(self.tag)])
+        self.labels.append(label)
+        self.free[row] = T
+        for b in range(len(self.total)):
+            self.mass[b, 0] += T
+            self.total[b] += T
+        return row
+
+    def use(self, row: int, block: int):
+        self.free[row, block] -= 1
+        self.mass[block, int(self.tag[row, block])] -= 1
+        self.total[block] -= 1
+
+    def commit(self, row: int, block: int, tag: int):
+        free = int(self.free[row, block])
+        self.tag[row, block] = tag
+        self.mass[block, 0] -= free
+        self.mass[block, tag] += free
+
+    def seen_mass(self, block: int, tag: int) -> int:
+        """Free slots in `block` of the rows uncommitted or tagged `tag`."""
+        return self.mass[block, 0] + (self.mass[block, tag] if tag else 0)
+
+    def locate(self, r: float, block: int, tag: int) -> int:
+        """The label of the first row, among those `seen_mass` counts, whose
+        running free mass exceeds r; r must lie below `seen_mass(block, tag)`."""
+        rows = len(self.labels)
+        weights = self.free[:rows, block]
+        if self.seen_mass(block, tag) < self.total[block]:  # rows of other tags hold slots
+            tags = self.tag[:rows, block]
+            weights = weights * ((tags == 0) | (tags == tag))
+        return self.labels[int(weights.cumsum().searchsorted(r, side="right"))]
+
+
 class TranscriptProcess:
     """Answer oracle queries against a deferred blow-up instance.
 
@@ -235,6 +318,13 @@ class TranscriptProcess:
     same stub weights per copy.  With T >= 2 the lp branch can dead-end, a
     fresh partner being due after every label is seen; it then raises
     InfeasibleSeedSolution.
+
+    A reveal's Python work depends on neither N nor the labels already seen:
+    each class keeps its labels' free slots by block and by commit
+    (`_ClassSlots`), so a partner draw reads the seen mass directly, and only a
+    draw that lands on a seen label locates it with one numpy prefix-sum
+    search over that class.  `complete()` reveals every slot, so it costs one
+    such search per seen partner.
 
     The caller must obtain variables through `random_unseen_variable` before
     asking for their constraints, mirroring the restricted access discipline
@@ -261,8 +351,6 @@ class TranscriptProcess:
                              for i in range(source.n) for a in range(source.q)}
         self.n_labels = source.n * self.N
         self.rho: dict[int, tuple] = {}
-        self.members: defaultdict[tuple, list[int]] = defaultdict(list)
-        self.counts: Counter = Counter()
         self.revealed: dict[tuple[int, int], int | None] = {}
         self.block_used: defaultdict[tuple[int, int], set[int]] = defaultdict(set)
         self.commit: dict[tuple[int, int], tuple] = {}
@@ -272,14 +360,23 @@ class TranscriptProcess:
         self.collisions = 0
         self._betas = {cid: mu_assignments(source, c)
                        for cid, c in enumerate(source.constraints)}
+        self._tags = {cid: {beta: i + 1 for i, beta in enumerate(betas)}
+                      for cid, betas in self._betas.items()}
+        self._classes = {key: _ClassSlots(source.degree(key[0])) for key in self.capacity}
+        self._row: dict[int, int] = {}
 
     # -- class machinery --
 
     def _pick(self, weights, what: str) -> int:
-        weights = np.array(weights)
-        if weights.sum() <= 0:
+        """An index drawn with probability proportional to `weights` exactly
+        as `rng.choice(len(weights), p=weights / weights.sum())` draws it:
+        one uniform located in the normalised running sum."""
+        total = _numpy_sum(weights)
+        if total <= 0:
             raise InfeasibleSeedSolution(f"{what} capacities exhausted")
-        return int(self.rng.choice(len(weights), p=weights / weights.sum()))
+        cdf = list(accumulate(w / total for w in weights))
+        last = cdf[-1]
+        return bisect_right([c / last for c in cdf], self.rng.random())
 
     def _unseen_label(self) -> int:
         if len(self.rho) >= self.n_labels:
@@ -291,18 +388,19 @@ class TranscriptProcess:
 
     def _place(self, label, key):
         self.rho[label] = key
-        self.counts[key] += 1
-        self.members[key].append(label)
+        self._row[label] = self._classes[key].add(label, self.T)
 
     def _assign_class(self, label):
         keys = list(self.capacity)
-        weights = [max(0.0, self.capacity[k] - self.counts[k]) for k in keys]
+        weights = [max(0.0, self.capacity[k] - len(self._classes[k].labels)) for k in keys]
         self._place(label, keys[self._pick(weights, "class")])
 
     def _commit(self, label, block, p_src, pos, beta):
         if (label, block) not in self.commit:
             self.commit[label, block] = beta
             self.committed_count[p_src, pos, beta] += 1
+            self._classes[self.rho[label]].commit(self._row[label], block,
+                                                  self._tags[p_src][beta])
 
     def random_unseen_variable(self) -> int:
         if len(self.rho) >= self.n_labels:
@@ -315,6 +413,10 @@ class TranscriptProcess:
     # -- constraint queries --
 
     def query(self, label: int, p: int):
+        """The constraint at slot p (1-based) of a seen label; None past its
+        last slot."""
+        if p < 1:
+            raise ValueError(f"index {p} below 1")
         if label not in self.rho:
             raise UnseenVariableQuery(
                 f"variable {label} must be obtained through the random-variable query first")
@@ -348,7 +450,7 @@ class TranscriptProcess:
         jcid = len(self.constraints)
         self.constraints.append(Constraint(c.predicate, tuple(scope), c.weight))
         # bind index slots for every participant
-        self.block_used[label, b].add(p)
+        self._use_slot(label, b, p)
         for partner, block, _ in partners:
             self.revealed[partner, self._fresh_slot(partner, block)] = jcid
         self.revealed[label, p] = jcid
@@ -360,7 +462,7 @@ class TranscriptProcess:
             return self.commit[label, block]
         a = self.rho[label][1]
         betas = self._betas[p_src]
-        table = np.asarray(self.mustar[p_src], dtype=float)
+        table = np.asarray(self.mustar[p_src], dtype=float).tolist()
         weights = [max(0.0, cap * self.N - self.committed_count[p_src, ell, beta])
                    if beta[ell] == a and cap > 0 else 0.0 for beta, cap in zip(betas, table)]
         beta = betas[self._pick(weights, "local class")]
@@ -369,31 +471,37 @@ class TranscriptProcess:
 
     def _draw_partner(self, key, block, p_src, pos, beta):
         """A label of class `key` for `block`: a seen one by its free slots, or
-        a fresh one by the class's unseen stubs.  Returns (label, was_seen)."""
-        candidates, weights = [], []
-        for u in self.members[key]:
-            free = self.T - len(self.block_used[u, block])
-            if free > 0 and self.commit.get((u, block), beta) == beta:
-                candidates.append(u)
-                weights.append(float(free))
-        unseen_mass = max(0.0, (self.capacity[key] - self.counts[key]) * self.T)
-        r = self.rng.random() * (sum(weights) + unseen_mass)
-        seen = next((u for u, acc in zip(candidates, accumulate(weights)) if r < acc), None)
-        partner = seen
-        if seen is None:
+        a fresh one by the class's unseen stubs.  Returns (label, was_seen).
+
+        A seen label qualifies while (label, block) is uncommitted or
+        committed to `beta`; labels are weighed in the order they were
+        placed."""
+        tag = 0 if beta is None else self._tags[p_src][beta]
+        cls = self._classes[key]
+        seen_mass = cls.seen_mass(block, tag)
+        unseen_mass = max(0.0, (self.capacity[key] - len(cls.labels)) * self.T)
+        r = self.rng.random() * (seen_mass + unseen_mass)
+        was_seen = r < seen_mass
+        if was_seen:
+            partner = cls.locate(r, block, tag)
+        else:
             partner = self._unseen_label()
             self._place(partner, key)
         if beta is not None:
             self._commit(partner, block, p_src, pos, beta)
-        return partner, seen is not None
+        return partner, was_seen
 
     def _fresh_slot(self, label, block) -> int:
         used = self.block_used[label, block]
         options = [slot for slot in range(block * self.T + 1, (block + 1) * self.T + 1)
                    if slot not in used]
         slot = options[int(self.rng.integers(0, len(options)))]
-        used.add(slot)
+        self._use_slot(label, block, slot)
         return slot
+
+    def _use_slot(self, label, block, slot):
+        self.block_used[label, block].add(slot)
+        self._classes[self.rho[label]].use(self._row[label], block)
 
     # -- completion --
 

@@ -21,6 +21,7 @@ from csplp.errors import ArityMismatch, InfeasibleSeedSolution, UnseenVariableQu
 from csplp.gaplab import (
     GapParams,
     TranscriptProcess,
+    _numpy_sum,
     apportion,
     collision_bound,
     collision_experiment,
@@ -186,6 +187,28 @@ class TestSwitch:
             assert evaluate(inst, beta) == base  # original untouched
 
 
+def assert_masses_match_recount(proc):
+    """The kept free-slot masses of every (class, block, commit) equal a scan
+    of the class's members in placement order, and each unit of mass locates
+    the member the scan's running sum puts there."""
+    for key in proc.capacity:
+        members = [u for u, k in proc.rho.items() if k == key]
+        slots = proc._classes[key]
+        for block, p_src in enumerate(proc.source.degree_index[key[0]]):
+            free = {u: proc.T - len(proc.block_used.get((u, block), ())) for u in members}
+            assert slots.total[block] == sum(free.values())
+            for beta in [None] if proc.branch == "opt" else proc._betas[p_src]:
+                units = []
+                for u in members:
+                    if proc.commit.get((u, block), beta) == beta:
+                        units += [u] * free[u]
+                tag = 0 if beta is None else proc._tags[p_src][beta]
+                assert slots.seen_mass(block, tag) == len(units)
+                for r, u in enumerate(units):
+                    assert slots.locate(float(r), block, tag) == u
+                    assert slots.locate(r + 0.5, block, tag) == u
+
+
 class TestProcess:
     def test_first_draw_is_class_uniform(self):
         tri = corpus.triangle()
@@ -227,6 +250,43 @@ class TestProcess:
             proc.query(v, 2)
             runs.append((proc.transcript, tuple(proc.constraints)))
         assert runs[0] == runs[1]
+
+    def test_slot_below_one_is_rejected(self):
+        proc = TranscriptProcess(corpus.triangle(), 50, 1, 0, branch="opt")
+        v = proc.random_unseen_variable()
+        for p in (0, -1):
+            with pytest.raises(ValueError):
+                proc.query(v, p)
+        assert proc.transcript == [("var", v)]
+
+    def test_pick_matches_generator_choice(self):
+        proc = TranscriptProcess(single_edge(), 2, 1, 0, branch="opt")
+        weight_rng = np.random.default_rng(5)
+        for length in [*range(1, 13), 129, 300]:
+            for trial in range(40):
+                w = weight_rng.integers(0, 4, length).astype(float)
+                if trial % 2:
+                    w *= weight_rng.random(length)
+                if not w.any():
+                    w[-1] = 1.0
+                assert _numpy_sum(w.tolist()) == w.sum()
+                proc.rng = np.random.default_rng(trial)
+                ref = np.random.default_rng(trial)
+                assert proc._pick(w.tolist(), "class") == ref.choice(length, p=w / w.sum())
+                assert proc.rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("branch, T", [("opt", 1), ("opt", 2), ("lp", 1), ("lp", 2)])
+    def test_free_slot_masses_match_recount(self, branch, T):
+        x, mu = triangle_solution()
+        proc = TranscriptProcess(corpus.triangle(), 6, T, 2, branch=branch,
+                                 xstar=x, mustar=mu)
+        for _ in range(4):
+            v = proc.random_unseen_variable()
+            for p in range(1, 2 * T + 1):
+                proc.query(v, p)
+                assert_masses_match_recount(proc)
+        proc.complete()
+        assert_masses_match_recount(proc)
 
     def test_star_branch_choice_is_seeded(self):
         x, mu = edge_solution()
@@ -339,6 +399,44 @@ def test_outputs_golden():
                     except InfeasibleSeedSolution:
                         record.append("InfeasibleSeedSolution")
     assert hashlib.sha256(repr(record).encode()).hexdigest() == GOLDEN_SHA256
+
+
+# sha256 of the processes' transcripts, collisions and completed instances, or
+# of the transcript and message where the process dead-ends, over both
+# sources, branches, T, N and seeds 0-11, and of two collision probes, as
+# recorded before partner draws kept per-class free-slot masses
+PROCESS_SHA256 = "52f2012fce3f4f03c4864bde1724c02dfd3005bfdc7454200afb733172b6bbad"
+
+
+def test_process_sweep_golden():
+    record = []
+    tri = corpus.triangle()
+    with deadline(30):
+        for source, (x, mu) in ((single_edge(), edge_solution()), (tri, triangle_solution())):
+            for branch in ("opt", "lp"):
+                for T in (1, 2, 3):
+                    for N in (3, 10, 40):
+                        for seed in range(12):
+                            proc = TranscriptProcess(source, N, T, seed, branch=branch,
+                                                     xstar=x, mustar=mu)
+                            try:
+                                for _ in range(3):
+                                    if len(proc.rho) == proc.n_labels:
+                                        break
+                                    v = proc.random_unseen_variable()
+                                    for p in range(1, source.t * T + 2):
+                                        proc.query(v, p)
+                                inst = proc.complete()
+                                record.append((proc.transcript, proc.collisions,
+                                               [c.scope for c in inst.constraints],
+                                               inst.degree_index))
+                            except InfeasibleSeedSolution as exc:
+                                record.append((proc.transcript, str(exc)))
+        sol = LpSolution(*triangle_solution(), 3.0)
+        for seed in (0, 1):
+            record.append(collision_experiment(tri, sol, N=200, T=1, tau=8, trials=20,
+                                               seed=seed))
+    assert hashlib.sha256(repr(record).encode()).hexdigest() == PROCESS_SHA256
 
 
 @pytest.mark.parametrize("gen", [gen_opt_instance, gen_lp_instance])
