@@ -15,7 +15,7 @@ import json
 import math
 import sys
 
-from . import corpus
+from . import corpus, csp
 from .csp import ConstraintOracle, brute_force_opt, evaluate, load_instance, save_instance
 from .errors import BudgetExceeded, CsplpError, FoldTooLarge, SizeLimit
 from .gaplab import GapParams, collision_experiment, gen_lp_instance, gen_opt_instance
@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common_lp(sp):
         sp.add_argument("--lp-epsilon", type=float, default=0.2,
                         help="slack of the relaxation behind the local oracle")
-        sp.add_argument("--rounds-cap", type=_ROUNDS_CAP, default=64)
+        sp.add_argument("--rounds-cap", type=_ROUNDS_CAP, default=LocalSolverParams.rounds_cap)
         sp.add_argument("--jobs", type=int, default=1,
                         help="parallel workers for independent trials")
 
@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("local-lp", help="query the local LP oracle")
     sp.add_argument("--instance", required=True)
     sp.add_argument("--epsilon", type=float, default=0.2)
-    sp.add_argument("--rounds-cap", type=_ROUNDS_CAP, default=64)
+    sp.add_argument("--rounds-cap", type=_ROUNDS_CAP, default=LocalSolverParams.rounds_cap)
     sp.add_argument("--query", help="column name, x:v:a or mu:cid:b1,b2")
     sp.add_argument("--assemble", action="store_true")
     sp.add_argument("--csv", default="-")
@@ -379,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--epsilon", type=_UNIT_EPSILON, required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--trials", type=int, default=1)
-    sp.add_argument("--budget", type=int, default=2 ** 26)
+    sp.add_argument("--budget", type=int, default=csp.DEFAULT_ENUM_BUDGET)
     sp.add_argument("--csv", default="-")
     common_lp(sp)
     sp.set_defaults(func=cmd_round)
@@ -419,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--epsilon", type=_POSITIVE, default=0.15)
     sv.add_argument("--trials", type=int, default=5)
     sv.add_argument("--seed", type=int, default=0)
-    sv.add_argument("--budget", type=int, default=2 ** 26)
+    sv.add_argument("--budget", type=int, default=csp.DEFAULT_ENUM_BUDGET)
     sv.add_argument("--csv", default="-")
     sv.set_defaults(func=cmd_gap_verify)
     sc = gsub.add_parser("collide")

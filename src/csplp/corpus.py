@@ -34,8 +34,8 @@ def clause_predicate(signs, name=None) -> Predicate:
     """Boolean clause over q=2: signs[i] is the satisfying literal polarity.
 
     A tuple entry 1 means the positive literal x_i appears, 0 means the
-    negated literal.  The clause is satisfied unless every position differs
-    from its satisfying polarity... i.e. standard OR of literals.
+    negated literal.  The clause is the OR of its literals: it is satisfied
+    unless every position differs from its satisfying polarity.
     """
     k = len(signs)
     table = []

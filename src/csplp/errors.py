@@ -83,9 +83,5 @@ class InfeasibleSeedSolution(CsplpError):
     pass
 
 
-class ArityMismatch(CsplpError):
-    pass
-
-
 class UnseenVariableQuery(CsplpError):
     pass

@@ -21,7 +21,7 @@ from itertools import accumulate
 import numpy as np
 
 from .csp import Constraint, CspInstance, build_instance
-from .errors import ArityMismatch, InfeasibleSeedSolution, UnseenVariableQuery
+from .errors import InfeasibleSeedSolution, UnseenVariableQuery
 from .lp import LpSolution, infeasibility, mu_assignments
 
 
@@ -200,27 +200,6 @@ def gen_lp_instance(params: GapParams) -> GapInstance:
                 pairs += _matched(rng, cid, [merge[u, cid][g]
                                              for u, g in zip(c.scope, groups[bi])], T)
     return _finish(inst, N, T, rng, pairs, alpha_virtual)
-
-
-# --- switching ------------------------------------------------------------------
-
-def switch(constraints, i: int, j: int, pairing):
-    """Exchange scope entries of two like constraints position-wise.
-
-    `pairing` selects, per position, whether the entries swap.  The degree
-    sequence and the per-position variable multisets are unchanged.
-    """
-    ci, cj = constraints[i], constraints[j]
-    if ci.predicate != cj.predicate or len(ci.scope) != len(cj.scope):
-        raise ArityMismatch("switch requires two applications of one predicate")
-    si, sj = list(ci.scope), list(cj.scope)
-    for pos, swap in enumerate(pairing):
-        if swap:
-            si[pos], sj[pos] = sj[pos], si[pos]
-    out = list(constraints)
-    out[i] = Constraint(ci.predicate, tuple(si), ci.weight)
-    out[j] = Constraint(cj.predicate, tuple(sj), cj.weight)
-    return out
 
 
 # --- lazy transcript process ------------------------------------------------------

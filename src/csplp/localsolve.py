@@ -363,7 +363,7 @@ def assemble_packing_vector(lp_oracle: LpOracle, instance: CspInstance) -> dict:
 
 
 def assemble_global(lp_oracle: LpOracle, instance: CspInstance) -> LpSolution:
-    """Query every repaired basic-coordinate value and pack a solution."""
+    """Read every repaired basic-coordinate value in one `query_many` call."""
     m = marginal_rows(instance)
-    return LpSolution.from_columns(instance, {name: lp_oracle.query(name)
-                                              for name in m.x_labels + m.mu_labels})
+    names = m.x_labels + m.mu_labels
+    return LpSolution.from_columns(instance, dict(zip(names, lp_oracle.query_many(names)[0])))

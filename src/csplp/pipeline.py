@@ -344,7 +344,9 @@ def restore_and_repair(instance: CspInstance, z: dict, params: PipelineParams,
     `repair_blocks` over the whole instance: blocks whose pair sums drift are
     reset to the uniform marginal and every local table touching one is
     rebuilt as a product distribution.  z is first checked against the
-    stage-2 rows, those of `lp3` when it is given.  Returns (LpSolution, report).
+    stage-2 rows, those of `lp3` when it is given.  Returns (LpSolution, report);
+    the report holds `reset_variables` and `reset_tables` (sorted ids) and the
+    `measured_infeasibility` of the solution.
     """
     check_lp3_feasible(packing_rows(instance, params) if lp3 is None else lp3, z)
     q, n, eps = instance.q, instance.n, params.epsilon
@@ -355,18 +357,9 @@ def restore_and_repair(instance: CspInstance, z: dict, params: PipelineParams,
                     if reset_vars.intersection(c.distinct_vars())]
 
     sol = LpSolution(x, mu, value_of(instance, x, mu))
-    measured = infeasibility(instance, sol)
-    s = instance.s
-    bound = max(
-        eps + q * eps,
-        eps + eps * (q ** (s - 1) + 1),
-        2 * max(s - 1, 1) * (eps + q * eps),
-    )
     report = {
         "reset_variables": sorted(reset_vars),
         "reset_tables": reset_tables,
-        "measured_infeasibility": float(measured),
-        "infeasibility_bound": float(bound),
-        "value": sol.value,
+        "measured_infeasibility": float(infeasibility(instance, sol)),
     }
     return sol, report

@@ -133,9 +133,11 @@ def smooth(mu_table: np.ndarray, x_rows: np.ndarray, eps: float,
 def repair_to_feasible(instance: CspInstance, sol: LpSolution):
     """Produce an exactly feasible solution from an eps-infeasible one.
 
-    Returns (repaired LpSolution, report).  The same mixing weight delta is
-    used for every table and for the final marginal shift, so the equality
-    rows close exactly:  sum_a x''[v,a] = 1 and every table marginal equals
+    Returns (repaired LpSolution, report); the report holds the measured
+    `input_eps`, the mixing weight `delta`, and `value_before` and
+    `value_after`.  The same mixing weight delta is used for every table and
+    for the final marginal shift, so the equality rows close exactly:
+    sum_a x''[v,a] = 1 and every table marginal equals
     (1-delta) x'[v] + delta/q = x''[v].
 
     delta is driven by the measured post-surgery infeasibility (the smoothing
@@ -149,7 +151,6 @@ def repair_to_feasible(instance: CspInstance, sol: LpSolution):
     delta = min(1.0, k_max * instance.q ** 3 * post)
 
     mu_prime: dict[int, np.ndarray] = {}
-    l1_shift = {}
     for cid, c in enumerate(instance.constraints):
         dv = c.distinct_vars()
         rows = x_prime[list(dv)]
@@ -161,17 +162,14 @@ def repair_to_feasible(instance: CspInstance, sol: LpSolution):
             scaled = table / total
         h, _ = smooth(scaled, rows, post, delta=delta)
         mu_prime[cid] = h
-        l1_shift[cid] = float(np.abs(table - h).sum())
 
     x_out = (1.0 - delta) * x_prime + delta / instance.q
     repaired = LpSolution(x_out, mu_prime, value_of(instance, x_out, mu_prime))
     report = {
         "input_eps": float(measured_eps),
-        "post_surgery_eps": float(post),
         "delta": float(delta),
         "value_before": sol.value,
         "value_after": repaired.value,
-        "l1_shift": l1_shift,
     }
     return repaired, report
 

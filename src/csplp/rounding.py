@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csp import ConstraintOracle, CspInstance, RevealMemo, build_instance, sum_estimator
+from .csp import ConstraintOracle, CspInstance, RevealMemo, sum_estimator
 from .errors import FoldTooLarge
 
 ASSIGNMENT_BUDGET = 2 ** 20  # most folded assignments `round_assignment` enumerates
@@ -104,24 +104,6 @@ def fold_map(x: np.ndarray, eps: float) -> FoldingMap:
         if key not in buckets:
             buckets[key] = len(buckets)
     return FoldingMap(keys, buckets)
-
-
-def fold(instance: CspInstance, x: np.ndarray, eps: float):
-    """Materialize the folded instance (same predicates and weights, scopes
-    mapped through the bucket map; scopes may repeat buckets)."""
-    fm = fold_map(x, eps)
-    folded_cons = []
-    for c in instance.constraints:
-        folded_cons.append(type(c)(c.predicate,
-                                   tuple(fm.bucket_of(v) for v in c.scope), c.weight))
-    degree = [0] * fm.bucket_count
-    for c in folded_cons:
-        for b in set(c.scope):
-            degree[b] += 1
-    t_folded = max(degree, default=1) or 1
-    folded = build_instance(instance.q, instance.s, t_folded, instance.w,
-                            fm.bucket_count, instance.predicates, folded_cons)
-    return fm, folded
 
 
 DRAW = "draw"  # bucket rule: every variable draws from the bucket's marginal

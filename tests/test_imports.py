@@ -1,5 +1,6 @@
 """Every name a csplp module imports at module level is read somewhere in it,
-and every field of a csplp record type is read somewhere in the repository.
+every field of a csplp record type is read somewhere in the repository, and
+every top-level function and class of csplp has a caller in the program.
 
 A name or field left behind when the code that used it moves away would
 otherwise stay unnoticed; `__init__.py` re-exports and is exempt.
@@ -59,3 +60,42 @@ def test_every_record_field_is_read():
             unread += [f"{path.stem}.{cls.name}.{item.target.id}" for item in cls.body
                        if isinstance(item, ast.AnnAssign) and item.target.id not in read]
     assert unread == []
+
+
+def test_every_top_level_name_has_a_program_caller():
+    """Every top-level function and class in src/csplp is read by the program.
+
+    A name counts as read when src/ loads it by name outside its own
+    definition, when src/ or perfbench/ reads it as `module.name` or
+    imports it from its module, when a string constant in src/ or
+    perfbench/ is the name or `module.name` (the tracing tables and the
+    `getattr` lookups of the CLI), or when `__all__` exports it.  Tests do
+    not count: a name only they call belongs in tests/.
+
+    Names are matched by name alone, so a dead function passes unnoticed
+    when another module loads a different object of the same name, and an
+    attribute read `module.name` counts for whatever object the module holds.
+    """
+    read = set()
+    for top in ("src", "perfbench"):
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    read.add(f"{node.value.id}.{node.attr}")
+                elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("csplp."):
+                    read.update(f"{node.module[6:]}.{a.name}" for a in node.names)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    read.add(node.value)
+    defined = []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            own = getattr(stmt, "name", None)
+            read.update(node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)
+                        and isinstance(node.ctx, ast.Load) and node.id != own)
+            if isinstance(stmt, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets):
+                read.update(ast.literal_eval(stmt.value))
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((path.stem, own))
+    assert [f"{m}.{name}" for m, name in defined
+            if name not in read and f"{m}.{name}" not in read] == []

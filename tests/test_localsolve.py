@@ -3,7 +3,7 @@ import pytest
 
 from csplp import corpus, localsolve
 from csplp.csp import ConstraintOracle, Constraint, build_instance, connected_components
-from csplp.lp import infeasibility, mu_assignments, solve_basic_lp
+from csplp.lp import LpSolution, infeasibility, marginal_rows, mu_assignments, solve_basic_lp
 from csplp.localsolve import (
     BallProgram,
     LocalSolverParams,
@@ -254,10 +254,14 @@ class TestLocalEqualsGlobal:
             assert assemble_packing_vector(lo, inst) == dict(zip(ref.col_labels, z))
             stage2 = {lab: z[i] / ref.col_scale[i] for i, lab in enumerate(ref.col_labels)}
             want, _ = restore_and_repair(inst, stage2, pp)
-            got = assemble_global(lo, inst)
-            assert (got.x == want.x).all()
-            assert got.mu.keys() == want.mu.keys()
-            assert all((got.mu[cid] == want.mu[cid]).all() for cid in want.mu)
+            m = marginal_rows(inst)
+            # the bulk read and the per-name path each equal the global run
+            one_by_one = LpSolution.from_columns(
+                inst, {name: lo.query(name) for name in m.x_labels + m.mu_labels})
+            for got in (assemble_global(lo, inst), one_by_one):
+                assert (got.x == want.x).all()
+                assert got.mu.keys() == want.mu.keys()
+                assert all((got.mu[cid] == want.mu[cid]).all() for cid in want.mu)
 
 
 class RecordingOracle(ConstraintOracle):

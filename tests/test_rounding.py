@@ -13,7 +13,6 @@ from csplp.rounding import (
     DRAW,
     adjust_epsilon,
     estimate_assignment_value,
-    fold,
     fold_map,
     grid_coords,
     per_variable_shares,
@@ -71,6 +70,23 @@ class TestDiscretize:
         assert adjust_epsilon(0.25) == pytest.approx(0.25)
         with pytest.raises(ValueError):
             grid_coords(0.5, 0.3)
+
+
+def fold(instance, x, eps):
+    """Materialize the folded instance (same predicates and weights, scopes
+    mapped through the bucket map; scopes may repeat buckets).  The program
+    folds implicitly, through `fold_map` and `unfold_value`."""
+    fm = fold_map(x, eps)
+    folded_cons = [Constraint(c.predicate, tuple(fm.bucket_of(v) for v in c.scope), c.weight)
+                   for c in instance.constraints]
+    degree = [0] * fm.bucket_count
+    for c in folded_cons:
+        for b in set(c.scope):
+            degree[b] += 1
+    t_folded = max(degree, default=1) or 1
+    folded = build_instance(instance.q, instance.s, t_folded, instance.w,
+                            fm.bucket_count, instance.predicates, folded_cons)
+    return fm, folded
 
 
 class TestFold:
