@@ -89,14 +89,15 @@ def analytic_gamma_bounds(pp: PipelineParams):
 class CommGraphView:
     """Everything `build_ball` discovered within its radius of the seed set.
 
-    `scanned` holds variables whose full index list was read (t queries
-    each, memoized); `known_vars` additionally contains scope members at the
-    boundary.  `constraints` maps revealed constraint ids to their data.
-    `level` is the BFS level of each scanned variable (the anchors are level
-    0) and `depth` the deepest level.  `closed` says the frontier emptied
-    within the radius: every known variable was scanned, so the ball is the
-    whole component of its anchors.  The oracle's own counter meters the
-    queries.
+    `scanned` holds variables whose full index list was read, up to the
+    first empty slot (min(t, deg(v) + 1) queries each, memoized);
+    `known_vars` additionally contains scope members at the boundary.
+    `constraints` maps revealed constraint ids to their data.  `level` is
+    the BFS level of each scanned variable (the anchors are level 0) and
+    `depth` the deepest level.  `closed` says the frontier emptied within
+    the radius: every known variable was scanned, so the ball is the whole
+    component of its anchors.  `queries` is the number of questions the
+    search asked, which is what it costs on a fresh oracle.
     """
 
     def __init__(self):
@@ -106,13 +107,25 @@ class CommGraphView:
         self.level: dict[int, int] = {}
         self.depth = 0
         self.closed = False
+        self.queries = 0
 
 
 def build_ball(oracle: ConstraintOracle, center, radius: int) -> CommGraphView:
-    """BFS over the communication structure; ascending-id exploration order."""
+    """BFS over the communication structure; ascending-id exploration order.
+
+    Slot lists are gap-free (`build_instance`), so a variable's scan stops
+    at its first empty slot.
+    """
     inst = oracle.instance
     view = CommGraphView()
-    frontier = sorted(_anchor_vars(oracle, center))
+    kind = center[0]
+    if kind in ("x", "xbar"):
+        frontier = [center[1]]
+    elif kind in ("mu", "mubar"):
+        view.queries = 1  # the anchor constraint's payload
+        frontier = sorted(oracle.constraint(center[1]).distinct_vars())
+    else:
+        raise ValueError(f"unknown column name {center}")
     view.known_vars.update(frontier)
     for depth in range(radius + 1):
         view.depth = depth
@@ -123,8 +136,11 @@ def build_ball(oracle: ConstraintOracle, center, radius: int) -> CommGraphView:
             view.scanned.add(v)
             view.level[v] = depth
             for i in range(1, inst.t + 1):
+                view.queries += 1
                 cid = oracle.query(v, i)
-                if cid is None or cid in view.constraints:
+                if cid is None:
+                    break
+                if cid in view.constraints:
                     continue
                 c = inst.constraints[cid]  # payload of the answer just given
                 view.constraints[cid] = c
@@ -137,15 +153,6 @@ def build_ball(oracle: ConstraintOracle, center, radius: int) -> CommGraphView:
             break
         frontier = sorted(next_frontier)
     return view
-
-
-def _anchor_vars(oracle, center) -> set[int]:
-    kind = center[0]
-    if kind in ("x", "xbar"):
-        return {center[1]}
-    if kind in ("mu", "mubar"):
-        return set(oracle.constraint(center[1]).distinct_vars())
-    raise ValueError(f"unknown column name {center}")
 
 
 # --- packing data inside a ball ----------------------------------------------
@@ -254,9 +261,9 @@ class LpOracle:
 
     def packing_value(self, label) -> float:
         """Phase-2 value of one packing column (its ball only)."""
-        before = self.oracle.query_count
-        prog, z2 = self._solve(build_ball(self.oracle, label, self.rounds + 1))
-        self.last_query_cost = self.oracle.query_count - before
+        view = build_ball(self.oracle, label, self.rounds + 1)
+        prog, z2 = self._solve(view)
+        self.last_query_cost = view.queries
         return float(z2[prog.index[label]])
 
     def _solve(self, view: CommGraphView):
@@ -284,23 +291,25 @@ class LpOracle:
 
         A closed ball is its anchors' whole component.  An x name whose
         variable sits at level d of a closed x ball of depth E, with
-        d + E within its own radius, would explore that same component, so
-        it reuses the ball and its cost without a BFS.  Every name with a
+        d + E within its own radius, would explore that same component and
+        ask the same questions, so it reuses the ball and the ball's recorded
+        question count without a BFS.  Every name with a
         closed ball is answered after the loop from one program over the
         union of the call's closed components, with one dynamics run; the
         union is the whole-instance program restricted to those
         components, so the values are unchanged.  Open balls are solved
         one at a time, and consecutive open balls holding the same
-        variables and constraints share one solved program.  The call thus
-        holds at most the instance's program plus one open ball, and all
-        of it ends with the call.
+        variables and constraints share one solved program.  Each solved
+        program repairs a variable block or a mu table once, and its names
+        read their entries from that one result.  The call thus holds at
+        most the instance's program plus one open ball, and all of it ends
+        with the call.
         """
         memo = RevealMemo(self.oracle)
-        t = self.oracle.instance.t
         values, costs, deferred = [None] * len(names), [], []
         whole = CommGraphView()   # union of the call's closed balls
         closed_x = {}             # variable -> a closed x ball scanning it
-        anchor = key = view = prog = z2 = cost = None
+        anchor = key = view = None
         for pos, name in enumerate(names):
             kind = name[0]
             if kind not in ("x", "mu"):
@@ -310,11 +319,9 @@ class LpOracle:
                 radius = self.rounds + (1 if kind == "x" else 2)
                 ball = closed_x.get(name[1]) if kind == "x" else None
                 if ball is not None and ball.level[name[1]] + ball.depth <= radius:
-                    view, cost = ball, t * len(ball.scanned)  # t per scanned variable
+                    view = ball
                 else:
-                    before = memo.asked
                     view = build_ball(memo, name, radius)
-                    cost = memo.asked - before
                     if view.closed:
                         whole.known_vars |= view.known_vars
                         whole.constraints.update(view.constraints)
@@ -324,34 +331,46 @@ class LpOracle:
                         ball_key = (sorted(view.known_vars), sorted(view.constraints))
                         if ball_key != key:
                             key = ball_key
-                            prog, z2 = self._solve(view)
-            costs.append(cost)
+                            repaired = self._repairer(view)
+            costs.append(view.queries)
             if view.closed:
                 deferred.append(pos)
             else:
-                values[pos] = self._repaired(name, view, prog, z2)
+                values[pos] = repaired(name)
         if deferred:
-            prog, z2 = self._solve(whole)
+            repaired = self._repairer(whole)
             for pos in deferred:
-                values[pos] = self._repaired(names[pos], whole, prog, z2)
+                values[pos] = repaired(names[pos])
         return values, costs
 
-    def _repaired(self, name, view, prog: BallProgram, z2: np.ndarray) -> float:
-        inst = self.oracle.instance
+    def _repairer(self, view: CommGraphView):
+        """Solve the view's program; return name -> repaired value over it.
+
+        Each variable block and mu table is repaired once, on its first name.
+        """
+        inst, eps = self.oracle.instance, self.pipeline.epsilon
+        prog, z2 = self._solve(view)
+        blocks = {}
 
         def stage2(label):
             i = prog.index[label]
             return z2[i] / prog.col_scale[i]
 
-        eps = self.pipeline.epsilon
-        if name[0] == "x":
-            _, v, a = name
-            marginals, _, _ = repair_blocks(stage2, inst, eps, [v], [])
-            return float(marginals[v][a])
-        _, cid, beta = name
-        dv = view.constraints[cid].distinct_vars()
-        _, tables, _ = repair_blocks(stage2, inst, eps, dv, [cid])
-        return float(tables[cid][np.ravel_multi_index(beta, (inst.q,) * len(beta))])
+        def repaired(name) -> float:
+            kind, anchor, entry = name
+            block = blocks.get((kind, anchor))
+            if block is None:
+                if kind == "x":
+                    block = repair_blocks(stage2, inst, eps, [anchor], [])[0][anchor]
+                else:
+                    dv = inst.constraints[anchor].distinct_vars()
+                    block = repair_blocks(stage2, inst, eps, dv, [anchor])[1][anchor]
+                blocks[kind, anchor] = block
+            if kind == "mu":
+                entry = np.ravel_multi_index(entry, (inst.q,) * len(entry))
+            return float(block[entry])
+
+        return repaired
 
 
 # --- whole-oracle materializers (test scale only) --------------------------------

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +69,7 @@ class FoldingMap:
 
     keys: list[tuple[int, ...]]          # per variable, its grid coordinates
     buckets: dict[tuple[int, ...], int]  # key -> dense bucket id
+    _draws: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def bucket_count(self) -> int:
@@ -80,16 +82,20 @@ class FoldingMap:
         """Value of v drawn from its bucket's normalized discretized marginal.
 
         The uniform comes from (seed, v) alone, so the answer repeats and
-        needs no oracle query.
+        needs no oracle query; it is drawn once per map and (seed, v).
         """
-        key = self.keys[v]
-        u = np.random.default_rng([seed, v]).random() * sum(key)
-        acc = 0
-        for a, k in enumerate(key):
-            acc += k
-            if u < acc:
-                return a
-        raise ValueError(f"variable {v} has an all-zero marginal")
+        if (seed, v) not in self._draws:
+            key = self.keys[v]
+            u = np.random.default_rng([seed, v]).random() * sum(key)
+            acc = 0
+            for a, k in enumerate(key):
+                acc += k
+                if u < acc:
+                    self._draws[seed, v] = a
+                    break
+            else:
+                raise ValueError(f"variable {v} has an all-zero marginal")
+        return self._draws[seed, v]
 
 
 def fold_map(x: np.ndarray, eps: float) -> FoldingMap:
@@ -143,24 +149,41 @@ def shared_buckets(oracle: ConstraintOracle, fm: FoldingMap) -> set[int]:
 
 # --- value estimation ---------------------------------------------------------
 
-def per_variable_shares(oracle: ConstraintOracle, fm: FoldingMap, folded_beta,
+class SlotScan:
+    """Every variable's constraint ids in slot order, read through `oracle`.
+
+    The scan runs on the first read of `cids`, so its queries are metered
+    there, and it stops at each variable's first empty slot.  One scan
+    serves every candidate estimated over it.
+    """
+
+    def __init__(self, oracle: ConstraintOracle):
+        self.oracle = oracle
+        self.instance = oracle.instance
+
+    @cached_property
+    def cids(self) -> list[list[int]]:
+        ask, t = self.oracle.query, self.instance.t
+        return [list(itertools.takewhile(lambda cid: cid is not None,
+                                         (ask(v, i) for i in range(1, t + 1))))
+                for v in range(self.instance.n)]
+
+
+def per_variable_shares(slots: SlotScan, fm: FoldingMap, folded_beta,
                         draw_seed: int | None = None):
     """f[v] = sum over constraints containing v of w * P(beta) / #distinct vars.
 
     The assignment is read through the folding map (DRAW rules with
-    draw_seed); each variable's index slots are scanned through the oracle,
-    so the scan is what the query counter meters.  Summing f over variables
-    gives the exact value of the unfolded assignment.
+    draw_seed); each variable's constraints come from `slots`, in slot
+    order.  Summing f over variables gives the exact value of the unfolded
+    assignment.
     """
-    inst = oracle.instance
+    inst = slots.instance
     values = [unfold_value(fm, folded_beta, v, draw_seed) for v in range(inst.n)]
     f = np.zeros(inst.n)
     share: dict[int, float] = {}
-    for v in range(inst.n):
-        for i in range(1, inst.t + 1):
-            cid = oracle.query(v, i)
-            if cid is None:
-                break
+    for v, cids in enumerate(slots.cids):
+        for cid in cids:
             if cid not in share:
                 c = inst.constraints[cid]
                 sat = inst.predicates[c.predicate].value(
@@ -170,12 +193,12 @@ def per_variable_shares(oracle: ConstraintOracle, fm: FoldingMap, folded_beta,
     return f
 
 
-def estimate_assignment_value(oracle: ConstraintOracle, fm: FoldingMap, folded_beta,
+def estimate_assignment_value(slots: SlotScan, fm: FoldingMap, folded_beta,
                               eps: float, delta: float, seed: int,
                               draw_seed: int | None = None) -> float:
     """Sampled value of the unfolded assignment, within eps*n/2 w.p. 1-delta."""
-    inst = oracle.instance
-    f = per_variable_shares(oracle, fm, folded_beta, draw_seed)
+    inst = slots.instance
+    f = per_variable_shares(slots, fm, folded_beta, draw_seed)
     bound = inst.t * inst.w
     return sum_estimator(f, inst.n, bound, eps / 2.0, delta, seed)
 
@@ -223,10 +246,11 @@ def round_assignment(oracle: ConstraintOracle, lp_oracle, epsilon: float,
 
     Counted queries are distinct reveals per trial.  The n*q marginals
     are read through one `lp_oracle.query_many` call, which charges its
-    oracle once per slot its balls reveal.  The bucket scan and every
-    candidate's estimate read the base oracle through one `RevealMemo`, so
-    a slot is charged to the first candidate that reads it, and the
-    transcript's query column counts each candidate's new reveals.
+    oracle once per slot its balls reveal.  The bucket scan and the
+    candidates' one `SlotScan` read the base oracle through one
+    `RevealMemo`, so a slot is charged once.  The scan runs inside the
+    first candidate's estimate, and the transcript's query column counts
+    each candidate's new reveals.
     """
     inst = oracle.instance
     if inst.total_weight < epsilon * inst.n or inst.n == 0:
@@ -246,13 +270,14 @@ def round_assignment(oracle: ConstraintOracle, lp_oracle, epsilon: float,
         raise FoldTooLarge(f"{count} folded assignments exceed budget {ASSIGNMENT_BUDGET}")
     delta = 1.0 / (3.0 * count)
 
+    slots = SlotScan(memo)
     rng = np.random.default_rng(seed)
     transcript = []
     best_beta, best_est = None, -math.inf
     for beta in itertools.product(*rules):
         sub_seed = int(rng.integers(0, 2 ** 62))
         before = oracle.query_count
-        est = estimate_assignment_value(memo, fm, beta, epsilon, delta, sub_seed, seed)
+        est = estimate_assignment_value(slots, fm, beta, epsilon, delta, sub_seed, seed)
         transcript.append((beta, est, oracle.query_count - before))
         if est > best_est:
             best_beta, best_est = beta, est

@@ -292,20 +292,23 @@ def test_pipeline_dump_golden(tmp_path, name, stage):
 
 # sha256 of the local-oracle CSVs on DUMP_INSTANCES and one Horn instance, as of
 # the oracle with two epsilons and two ball-solve paths; the `round` CSVs as of
-# counting distinct reveals per trial (only their query_cost column moved)
+# counting distinct reveals per trial; the `local-lp` and `round` CSVs of the
+# random, union and Horn instances as of ball searches that stop at a variable's
+# first empty slot (only their query_cost column moved; a triangle variable's
+# first empty slot is its last, slot t, so the triangle pins hold)
 ORACLE_SHA256 = {
     ("triangle", "assemble"): "5316ea7e1e1798609e8266ab80334e04eec901ba6c670ed012f97790925ba3e2",
     ("triangle", "query"): "466ddbfdc15436100f05b7f72d7d9a80d383be507d9939f3ce9301c2e414a6a5",
     ("triangle", "round"): "b3007d19bbf52b197f641d0b625202a09a2e72eaf9fa5b8c0734bf025ef03d05",
-    ("random", "assemble"): "5b3ca1eb6d7c78f0e2d8570e2d927a631a90c083d6a81f00e3a7e33b7828f6ac",
-    ("random", "query"): "8f45491e37c3b033149f0d8fea69ed8fce51e63374c1da651c0ee36af3a37a7c",
-    ("random", "round"): "aa4b9cb715240d8310465155dcc1a38e6f61436a7f05b15d3a4ac1f654f388c3",
-    ("union", "assemble"): "1f6ceb3805817fc9ab7a593449268213b878e96a2b8d4bd92d787af81b31e734",
-    ("union", "query"): "72d4cc5f5a2b6aab3ec0f573ad2c512281a49ab3329b78c9ff56230847923b84",
-    ("union", "round"): "5ad20680f7aa0c59da87d010f902ef794317e935c99670ae632a8f64f9c4842a",
-    ("horn", "assemble"): "f1783d0659cab968e70f8c69f2ebf434138403655b7b68df4fab4fde2366d040",
-    ("horn", "query"): "7fafbbe8f5931e6625f44a5a011f9a7dd6691201586ace94d6af8ed318971987",
-    ("horn", "round"): "e5ebaaadfbd2fb5fb4ec20045dcfd3f9a423eaa1abeda7f7fa246d537b0110b2",
+    ("random", "assemble"): "a4bb58a51921008b9e0abf4760df929918d320a9e3646ec0bef92c8ecd9b28e4",
+    ("random", "query"): "96e90fe0080cdc3c2b1eba8466382eda321926db823bc2443a4e714bf6d13485",
+    ("random", "round"): "0a661b901cf8fe6d499106f8617ad3efd9fa0400c12b3c3a40e95e9f10b69100",
+    ("union", "assemble"): "450440b3416874a58414cc3998c5f8c62b764af3755d461380838c962550272f",
+    ("union", "query"): "c6bd2829c3be90154818f23864573deaf8b5b26f0d799523d5593028c9077d87",
+    ("union", "round"): "9bb7b81f86fefed63cfc24fac009c2f0d319d25ec2adac71d1b0d13725747e23",
+    ("horn", "assemble"): "c6762c8dc85e0ea7a7ce7d3208aa05c2dbd85847e5d89b6c5f24932f134f8d8a",
+    ("horn", "query"): "e7f4b97dcf346d2168b732bc168bee887bdfa817f89050dd318a5d26445c2a8b",
+    ("horn", "round"): "d734cefc4b49cf7870ff9e5baa7c15899371812aa55dd5115596985c35e33b67",
     ("horn", "test-sat"): "74c115d73fb7b5d06fd1c72129ee2debb2258444a74cc034b98c7ded7f75ad0c",
 }
 ORACLE_RUNS = {

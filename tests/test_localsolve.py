@@ -270,10 +270,14 @@ class RecordingOracle(ConstraintOracle):
     def __init__(self, inst):
         super().__init__(inst)
         self.asked = []
+        self.empty = []  # (v, i) of every slot that answered None, in order
 
     def query(self, v, i):
         self.asked.append(("slot", v, i))
-        return super().query(v, i)
+        cid = super().query(v, i)
+        if cid is None:
+            self.empty.append((v, i))
+        return cid
 
     def constraint(self, cid):
         self.asked.append(("payload", cid))
@@ -288,6 +292,49 @@ def distinct_reveals(lo, names) -> int:
     return len(set(rec.asked))
 
 
+def slack_cycle(n, t=4):
+    """An n-cycle of != constraints whose variables have degree 2 below t."""
+    cons = [Constraint(0, (i, (i + 1) % n), 1.0) for i in range(n)]
+    return build_instance(2, 2, t, 1.0, n, [corpus.neq_predicate(2)], cons)
+
+
+def search_cost(inst, view, name) -> int:
+    """Questions a search asks: up to each scanned variable's first empty
+    slot, plus the anchor payload of a mu name."""
+    scans = sum(min(inst.t, inst.degree(v) + 1) for v in view.scanned)
+    return scans + (name[0] == "mu")
+
+
+class TestQueryDiscipline:
+    """The ball search asks only the questions the bounded-degree model charges."""
+
+    INSTANCES = [corpus.horn_satisfiable(3, n=16, m=20), corpus.component_union(5, pieces=6),
+                 corpus.random_instance(3, q=3, n=4, m=3), slack_cycle(40)]
+
+    @pytest.mark.parametrize("inst", INSTANCES)
+    def test_ball_stops_at_first_empty_slot(self, inst):
+        assert min(inst.degree(v) for v in range(inst.n)) < inst.t
+        names = [("x", v, 0) for v in range(inst.n)] + [
+            ("mu", cid, (0,) * len(c.distinct_vars())) for cid, c in enumerate(inst.constraints)]
+        for radius in (0, 1, 3):
+            for name in names:
+                rec = RecordingOracle(inst)
+                view = build_ball(rec, name, radius)
+                # an empty slot is the last question about its variable
+                for v, i in rec.empty:
+                    after = rec.asked[rec.asked.index(("slot", v, i)) + 1:]
+                    assert not any(q[0] == "slot" and q[1] == v for q in after)
+                assert view.queries == len(rec.asked) == rec.query_count
+                assert view.queries == search_cost(inst, view, name)
+
+    def test_packing_value_cost_is_its_search(self):
+        inst, label = slack_cycle(12), ("x", 0, 0)
+        lo, _ = make_oracle(inst, rounds_cap=1)
+        lo.packing_value(label)
+        view = build_ball(ConstraintOracle(inst), label, lo.rounds + 1)
+        assert lo.last_query_cost == lo.oracle.query_count == search_cost(inst, view, label)
+
+
 class TestQueryMany:
     def assert_matches_query(self, inst, names, **solver_kw):
         lo, _ = make_oracle(inst, **solver_kw)
@@ -295,12 +342,18 @@ class TestQueryMany:
         fresh, _ = make_oracle(inst, **solver_kw)
         want = [(fresh.query(name), fresh.last_query_cost) for name in names]
         assert list(zip(values, costs)) == want
+        # a stand-alone cost is the questions of the name's own search
+        radius = {"x": lo.rounds + 1, "mu": lo.rounds + 2}
+        assert costs == [search_cost(inst, build_ball(ConstraintOracle(inst), name,
+                                                      radius[name[0]]), name)
+                         for name in names]
         # each name reports its stand-alone cost; the counter pays each reveal once
         assert lo.oracle.query_count == distinct_reveals(lo, names)
 
     def test_repeated_balls_match_query(self):
         for inst in [corpus.triangle(), corpus.horn_satisfiable(3, n=16, m=20),
-                     corpus.component_union(5, pieces=6), corpus.horn_far(8)]:
+                     corpus.component_union(5, pieces=6), corpus.horn_far(8),
+                     corpus.random_instance(3, q=3, n=4, m=3)]:
             names = [("x", v, a) for v in range(inst.n) for a in range(inst.q)]
             names += [("mu", cid, beta) for cid, c in enumerate(inst.constraints)
                       for beta in mu_assignments(inst, c)]
@@ -341,9 +394,9 @@ class TestQueryMany:
         assert len(calls) == 1
 
     @staticmethod
-    def path(n):
+    def path(n, t=2):
         cons = [Constraint(0, (i, i + 1), 1.0) for i in range(n - 1)]
-        return build_instance(2, 2, 2, 1.0, n, [corpus.neq_predicate(2)], cons)
+        return build_instance(2, 2, t, 1.0, n, [corpus.neq_predicate(2)], cons)
 
     @pytest.mark.parametrize("n, order, searches", [
         # the middle's ball closes at depth 1; both ends sit at level 1, and
@@ -364,12 +417,29 @@ class TestQueryMany:
         lo.query_many(names)
         assert len(calls) == searches
 
+    def test_reused_slack_ball_charges_its_search(self, monkeypatch):
+        # at t = 3 the ends have degree 1 and the middle 2, so the closed ball
+        # the ends reuse cost 2 + 3 + 2 questions, not t per scanned variable
+        names = [("x", v, a) for v in (1, 0, 2) for a in (0, 1)]
+        self.assert_matches_query(self.path(3, t=3), names, rounds_cap=1)
+        calls = []
+        monkeypatch.setattr(localsolve, "build_ball",
+                            lambda *a: calls.append(1) or build_ball(*a))
+        lo, _ = make_oracle(self.path(3, t=3), rounds_cap=1)
+        assert lo.query_many(names)[1] == [7] * len(names)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("cap", [1, 2, 4])
     def test_open_balls_on_cycle_match_query(self, cap):
         cons = [Constraint(0, (i, (i + 1) % 40), 1.0) for i in range(40)]
         cycle = build_instance(2, 2, 2, 1.0, 40, [corpus.neq_predicate(2)], cons)
         names = [("x", v, a) for v in range(40) for a in (0, 1)]
         self.assert_matches_query(cycle, names, rounds_cap=cap)
+
+    @pytest.mark.parametrize("cap", [1, 2, 4])
+    def test_open_balls_on_slack_cycle_match_query(self, cap):
+        names = [("x", v, a) for v in range(40) for a in (0, 1)]
+        self.assert_matches_query(slack_cycle(40), names, rounds_cap=cap)
 
     def test_rounding_counts_distinct_marginal_reveals(self):
         inst = corpus.horn_satisfiable(3, n=16, m=20)

@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from csplp import corpus, rounding
-from csplp.csp import Constraint, ConstraintOracle, brute_force_opt, build_instance, evaluate
+from csplp import corpus, localsolve, rounding
+from csplp.csp import (Constraint, ConstraintOracle, RevealMemo, brute_force_opt,
+                       build_instance, evaluate)
 from csplp.errors import FoldTooLarge
 from csplp.lp import LpSolution, infeasibility, solve_basic_lp
 from csplp.localsolve import LpOracle
@@ -17,6 +18,7 @@ from csplp.rounding import (
     grid_coords,
     per_variable_shares,
     round_assignment,
+    SlotScan,
     test_satisfiability as run_satisfiability_test,
     tester_threshold as separation_threshold,
     unfold_value,
@@ -155,7 +157,7 @@ class TestShares:
         beta = [None] * fm.bucket_count
         for v, val in enumerate((0, 1, 0)):
             beta[fm.bucket_of(v)] = val
-        f = per_variable_shares(ConstraintOracle(tri), fm, beta)
+        f = per_variable_shares(SlotScan(ConstraintOracle(tri)), fm, beta)
         assert np.allclose(f, [0.5, 1.0, 0.5])
         assert f.sum() == pytest.approx(evaluate(tri, (0, 1, 0)))
 
@@ -164,7 +166,8 @@ class TestShares:
         cons = [Constraint(0, (v,), 1.0) for v in range(6)]
         inst = build_instance(2, 2, 2, 1.0, 6, [true], cons)
         fm = fold_map(np.full((6, 2), 0.5), 0.25)
-        est = estimate_assignment_value(ConstraintOracle(inst), fm, (0,), 0.3, 0.1, seed=4)
+        est = estimate_assignment_value(SlotScan(ConstraintOracle(inst)), fm, (0,), 0.3, 0.1,
+                                        seed=4)
         assert est == pytest.approx(inst.total_weight)  # constant f has no variance
 
     def test_estimator_miss_rate(self):
@@ -177,7 +180,8 @@ class TestShares:
         misses = 0
         trials = 400
         for seed in range(trials):
-            est = estimate_assignment_value(ConstraintOracle(inst), fm, beta, eps, delta, seed)
+            est = estimate_assignment_value(SlotScan(ConstraintOracle(inst)), fm, beta, eps,
+                                            delta, seed)
             if abs(est - truth) > eps * inst.n / 2:
                 misses += 1
         assert misses / trials <= delta + 3 * np.sqrt(delta / trials)
@@ -263,6 +267,39 @@ class TestRound:
             assert base.query_count <= n * inst.t
             assert lp_oracle.oracle.query_count <= n * inst.t
 
+    def test_trial_repairs_draws_and_scans_once(self, monkeypatch):
+        # one repair per variable block for the n q marginals, one seeded
+        # generator per distinct (seed, v) that the draw rule reads, and one
+        # slot scan that every candidate's estimate shares
+        repairs, generators, memos = [], [], []
+        real_repair, real_rng = localsolve.repair_blocks, np.random.default_rng
+        monkeypatch.setattr(localsolve, "repair_blocks",
+                            lambda *a: repairs.append(list(a[3])) or real_repair(*a))
+        monkeypatch.setattr(rounding, "RevealMemo",
+                            lambda oracle: memos.append(RevealMemo(oracle)) or memos[-1])
+
+        def rng(seed=None):
+            if isinstance(seed, list):
+                generators.append(tuple(seed))
+            return real_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", rng)
+        for seed in range(3):
+            inst = corpus.horn_satisfiable(3, n=16, m=20)
+            repairs.clear(), generators.clear(), memos.clear()
+            res = round_assignment(ConstraintOracle(inst), local_oracle(inst), 0.3, seed)
+            assert sorted(repairs) == [[v] for v in range(inst.n)]
+            # the bucket scan reads at most what the one full scan reads
+            full_scan = sum(min(inst.t, inst.degree(v) + 1) for v in range(inst.n))
+            assert len(res.transcript) > 2 and full_scan <= memos[0].asked <= 2 * full_scan
+            draw_buckets = {b for beta, _, _ in res.transcript
+                            for b, rule in enumerate(beta) if rule == DRAW}
+            assert draw_buckets
+            res.full_assignment(inst.n)
+            assert len(generators) == len(set(generators))
+            assert set(generators) == {(seed, v) for v in range(inst.n)
+                                       if res.fold.bucket_of(v) in draw_buckets}
+
     def test_no_shared_spread_bucket_keeps_constant_enumeration(self, monkeypatch):
         # The boundaries of the draw rule.  In the gadget copies every bucket
         # is a point mass and no constraint stays inside a bucket; the spread
@@ -294,7 +331,7 @@ class TestRound:
                 for (_, est, _), beta in zip(res.transcript, betas):
                     sub_seed = int(rng.integers(0, 2 ** 62))
                     assert est == estimate_assignment_value(
-                        ConstraintOracle(inst), res.fold, beta, 0.3, delta, sub_seed)
+                        SlotScan(ConstraintOracle(inst)), res.fold, beta, 0.3, delta, sub_seed)
                 best = max(range(len(betas)), key=lambda i: (res.transcript[i][1], -i))
                 assert res.folded_assignment == betas[best]
         # the budget still counts constants only, so FoldTooLarge is unchanged
