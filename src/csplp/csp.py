@@ -14,6 +14,7 @@ every answered query costs exactly one unit.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -235,13 +236,17 @@ def _scan_assignments(instance: CspInstance, budget: int, weighted: bool):
     distinct ordered scope, in order of first occurrence, holding the sum of
     weight * truth table over the constraints on that scope (weight 1 when
     `weighted` is false, so the score counts satisfied constraints).  Each
-    chunk of `_ENUM_CHUNK` assignments decodes the digits of only the
-    variables some term reads, once, through an int64 quotient buffer into
-    a digit buffer; every chunk reuses both.  Digits and term indices are
-    held in the narrowest unsigned dtype that holds q^k - 1 for the widest
-    term, k its scope length, and each term's index is built in place in
-    one reused buffer; besides these a chunk holds its score vector and
-    the gathered values of one term at a time.
+    term becomes a tensor over its distinct variables in increasing order; a
+    scope that repeats a variable reads the table's diagonal.  The scan runs
+    in blocks of q^L assignments, L the largest with q^L <= `_ENUM_CHUNK`
+    (2^16 for q = 2, 3^10 for q = 3): the last L variables run along the
+    axes of an L-axis score array and the first n - L are fixed per block.
+    For each block every term, in merge order, is indexed by the fixed
+    variables' values and added in place, broadcast over the axes of the
+    variables it does not read, so each assignment's score is the same
+    float sum in the same term order whatever the block size.  The first
+    maximum of a block replaces the best so far only if it is larger by
+    more than 1e-12, so exact ties keep the lexicographically first.
     """
     n, q = instance.n, instance.q
     total = q ** n if n > 0 else 1
@@ -255,35 +260,26 @@ def _scan_assignments(instance: CspInstance, budget: int, weighted: bool):
             merged[c.scope] += table
         else:
             merged[c.scope] = table
-    used = sorted({v for scope in merged for v in scope})
-    row_of = {v: i for i, v in enumerate(used)}
-    terms = [(tuple(row_of[v] for v in scope), table) for scope, table in merged.items()]
-    pows = np.array([q ** (n - 1 - v) for v in used], dtype=np.int64)[:, None]
-    width = max((len(rows) for rows, _ in terms), default=1)
-    narrow = np.min_scalar_type(q ** width - 1)
-    size = min(total, _ENUM_CHUNK)
-    quotients = np.empty((len(used), size), dtype=np.int64)
-    buffer = np.empty((len(used), size), dtype=narrow)
-    index = np.empty(size, dtype=narrow)
+    running = max(L for L in range(n + 1) if q ** L <= _ENUM_CHUNK)
+    split = n - running
+    terms = []
+    for scope, table in merged.items():
+        letter = {v: chr(97 + i) for i, v in enumerate(sorted(set(scope)))}
+        tensor = np.einsum("".join(map(letter.get, scope)) + "->" + "".join(letter.values()),
+                           table.reshape((q,) * len(scope)))
+        fixed = tuple(v for v in letter if v < split)
+        shape = (q,) * len(fixed) + tuple(q if v in letter else 1 for v in range(split, n))
+        terms.append((fixed, tensor.reshape(shape)))
 
-    best_score = -1.0
-    best_index = 0
-    for start in range(0, total, _ENUM_CHUNK):
-        stop = min(start + _ENUM_CHUNK, total)
-        quot, digits, idx = quotients[:, :stop - start], buffer[:, :stop - start], index[:stop - start]
-        np.floor_divide(np.arange(start, stop, dtype=np.int64), pows, out=quot)
-        np.remainder(quot, q, out=digits, casting="unsafe")
-        score = np.zeros(stop - start, dtype=np.float64)
-        for rows, table in terms:
-            np.copyto(idx, digits[rows[0]])
-            for r in rows[1:]:
-                idx *= q
-                idx += digits[r]
-            score += table.take(idx)
-        k = int(np.argmax(score))
-        if score[k] > best_score + 1e-12:
-            best_score = float(score[k])
-            best_index = start + k
+    best_score, best_index = -1.0, 0
+    for block, prefix in enumerate(itertools.product(range(q), repeat=split)):
+        score = np.zeros((q,) * running)
+        for fixed, tensor in terms:
+            score += tensor[tuple(prefix[v] for v in fixed)]
+        flat = score.reshape(-1)
+        k = int(np.argmax(flat))
+        if flat[k] > best_score + 1e-12:
+            best_score, best_index = float(flat[k]), block * flat.size + k
     return best_score, best_index
 
 
@@ -297,11 +293,13 @@ def _index_to_assignment(index: int, n: int, q: int) -> tuple[int, ...]:
 def brute_force_opt(instance: CspInstance, budget: int = DEFAULT_ENUM_BUDGET):
     """Exact optimum by full enumeration.
 
-    Returns (opt value, argmax assignment); ties break to the
-    lexicographically smallest assignment for reproducibility.  The argmax
-    comes from the merged-term scan, and the value is `evaluate` of that
-    argmax, the constraint-order sum, so `evaluate(argmax) == opt` holds
-    exactly even where merging reorders a fractional-weight sum.
+    Returns (opt value, argmax assignment).  The argmax comes from the
+    blockwise merged-term scan: exact ties break to the lexicographically
+    smallest assignment, and a later block wins only by more than 1e-12
+    (blocks are 2^16 assignments for q = 2, 3^10 for q = 3).  The value is
+    `evaluate` of that argmax, the constraint-order sum, so
+    `evaluate(argmax) == opt` holds exactly even where merging reorders a
+    fractional-weight sum.
     """
     _, index = _scan_assignments(instance, budget, weighted=True)
     argmax = _index_to_assignment(index, instance.n, instance.q)

@@ -66,7 +66,9 @@ def transform(values: np.ndarray, matrix: np.ndarray, k: int) -> np.ndarray:
     """
     arr = values.reshape((len(matrix),) * k).astype(float)
     for axis in range(k):
-        arr = np.moveaxis(np.tensordot(matrix, arr, axes=([1], [axis])), 0, axis)
+        moved = np.moveaxis(arr, axis, 0)
+        out = np.dot(matrix, moved.reshape(len(moved), -1))
+        arr = np.moveaxis(out.reshape(moved.shape), 0, axis)
     return arr.reshape(-1)
 
 

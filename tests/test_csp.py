@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,6 +156,16 @@ class TestBruteForce:
         with pytest.raises(BudgetExceeded):
             brute_force_opt(inst, budget=2 ** 20)
 
+    def test_scan_memory_stays_within_a_block(self):
+        inst = corpus.random_instance(0, q=2, n=18, m=30)
+        tracemalloc.start()
+        try:
+            brute_force_opt(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+
     def test_matches_full_enumeration_small(self):
         for seed in range(12):
             inst = corpus.random_instance(seed, n=5, m=4, q=2)
@@ -216,17 +227,27 @@ class TestScanCrossCheck:
             assert beta == assignments[values.index(max(values))]
         assert distance_to_satisfiability(inst) == len(inst.constraints) - max(counts)
 
-    def test_unique_optimum_in_last_chunk(self):
-        target = (1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1, 0, 1)
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_unique_optimum_in_last_chunk(self, q):
+        """The only optimum lies in the last block of q^L assignments (three
+        3^10 blocks for q = 3); one scope spans the fixed and running
+        variables and one repeats a variable."""
+        target = {2: (1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1, 0, 1),
+                  3: (2, 0, 1, 2, 2, 1, 0, 0, 2, 1, 1)}[q]
         n = len(target)
-        assert int("".join(map(str, target)), 2) >= 2 ** n - _ENUM_CHUNK
-        preds = [corpus.unary_is(2, 0), corpus.unary_is(2, 1),
-                 corpus.neq_predicate(2), corpus.eq_predicate(2)]
-        cons = [Constraint(target[v], (v,), 1.0) for v in range(n)]
-        cons += [Constraint(3 if target[v] == target[v + 1] else 2, (v, v + 1), 1.0)
-                 for v in range(n - 1)]
-        inst = build_instance(2, 2, 3, 1.0, n, preds, cons)
-        assert brute_force_opt(inst) == (2.0 * n - 1, target)
+        block = max(q ** L for L in range(n) if q ** L <= _ENUM_CHUNK)
+        assert sum(d * q ** (n - 1 - v) for v, d in enumerate(target)) >= q ** n - block
+
+        def only(values):
+            return Predicate(str(values), len(values), tuple(
+                int(a == values) for a in itertools.product(range(q), repeat=len(values))))
+
+        scopes = [((v,), 1.0) for v in range(n)] + [((v, v + 1), 2.0) for v in range(n - 1)]
+        scopes += [((0, n - 1), 1.0), ((0, n - 2, 0), 3.0)]
+        preds = [only(tuple(target[v] for v in scope)) for scope, _ in scopes]
+        cons = [Constraint(i, scope, w) for i, (scope, w) in enumerate(scopes)]
+        inst = build_instance(q, 3, 4, 3.0, n, preds, cons)
+        assert brute_force_opt(inst) == (3.0 * n + 2.0, target)
         assert distance_to_satisfiability(inst) == 0
 
 
