@@ -334,8 +334,8 @@ def _ranged(kind, ok, what):
     return parse
 
 
-_ROUNDS_CAP = _ranged(int, lambda k: k >= 1, "an integer of at least 1")
-_UNIT_EPSILON = _ranged(float, lambda e: 0.0 < e <= 1.0, "a number in (0, 1]")
+_COUNT = _ranged(int, lambda k: k >= 1, "an integer of at least 1")
+_UNIT = _ranged(float, lambda e: 0.0 < e <= 1.0, "a number in (0, 1]")
 _POSITIVE = _ranged(float, lambda e: 0.0 < e < math.inf, "a finite number above 0")
 
 
@@ -346,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common_lp(sp):
         sp.add_argument("--lp-epsilon", type=float, default=0.2,
                         help="slack of the relaxation behind the local oracle")
-        sp.add_argument("--rounds-cap", type=_ROUNDS_CAP, default=LocalSolverParams.rounds_cap)
-        sp.add_argument("--jobs", type=int, default=1,
+        sp.add_argument("--rounds-cap", type=_COUNT, default=LocalSolverParams.rounds_cap)
+        sp.add_argument("--jobs", type=_COUNT, default=1,
                         help="parallel workers for independent trials")
 
     sp = sub.add_parser("solve-lp", help="exact optimum of the basic relaxation")
@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("local-lp", help="query the local LP oracle")
     sp.add_argument("--instance", required=True)
     sp.add_argument("--epsilon", type=float, default=0.2)
-    sp.add_argument("--rounds-cap", type=_ROUNDS_CAP, default=LocalSolverParams.rounds_cap)
+    sp.add_argument("--rounds-cap", type=_COUNT, default=LocalSolverParams.rounds_cap)
     sp.add_argument("--query", help="column name, x:v:a or mu:cid:b1,b2")
     sp.add_argument("--assemble", action="store_true")
     sp.add_argument("--csv", default="-")
@@ -376,9 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("round", help="rounding trials against the local oracle")
     sp.add_argument("--instance", required=True)
-    sp.add_argument("--epsilon", type=_UNIT_EPSILON, required=True)
+    sp.add_argument("--epsilon", type=_UNIT, required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=int, default=1)
+    sp.add_argument("--trials", type=_COUNT, default=1)
     sp.add_argument("--budget", type=int, default=csp.DEFAULT_ENUM_BUDGET)
     sp.add_argument("--csv", default="-")
     common_lp(sp)
@@ -386,11 +386,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("test-sat", help="satisfiability tester trials")
     sp.add_argument("--instance", required=True)
-    sp.add_argument("--epsilon", type=_UNIT_EPSILON, required=True)
-    sp.add_argument("--delta", type=float)
+    sp.add_argument("--epsilon", type=_UNIT, required=True)
+    sp.add_argument("--delta", type=_UNIT)
     sp.add_argument("--family", default="horn-sat")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=int, default=1)
+    sp.add_argument("--trials", type=_COUNT, default=1)
     sp.add_argument("--csv", default="-")
     common_lp(sp)
     sp.set_defaults(func=cmd_test_sat)
@@ -417,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--N", type=int, default=6)
     sv.add_argument("--T", type=int, default=32)
     sv.add_argument("--epsilon", type=_POSITIVE, default=0.15)
-    sv.add_argument("--trials", type=int, default=5)
+    sv.add_argument("--trials", type=_COUNT, default=5)
     sv.add_argument("--seed", type=int, default=0)
     sv.add_argument("--budget", type=int, default=csp.DEFAULT_ENUM_BUDGET)
     sv.add_argument("--csv", default="-")
@@ -428,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--T", type=int, default=1)
     sc.add_argument("--tau", type=lambda s: [int(x) for x in s.split(",")],
                     default=[4, 8, 16, 32])
-    sc.add_argument("--trials", type=int, default=1000)
+    sc.add_argument("--trials", type=_COUNT, default=1000)
     sc.add_argument("--seed", type=int, default=0)
     sc.add_argument("--csv", default="-")
     sc.set_defaults(func=cmd_gap_collide)

@@ -239,10 +239,11 @@ class LpOracle:
     query cost of the latest `query` or `packing_value`.  Counted queries
     are distinct reveals per call: within one `query_many` call a slot or
     payload already revealed is read from memory, while each name's
-    reported cost is still its stand-alone ball cost.  Within one call a
-    ball that is a whole component is explored once for the x names whose
-    own ball provably equals it, and all such balls share one dynamics run
-    (see `query_many`); nothing is kept between calls.  Output values are in
+    reported cost is still its stand-alone ball cost; a caller's own memo
+    passed to `query_many` shares its reveals.  Within one call a ball that
+    is a whole component is explored once for the x names whose own ball
+    provably equals it, and all such balls share one dynamics run (see
+    `query_many`); nothing is kept between calls.  Output values are in
     basic coordinates: marginals of unreset blocks are 1 - x_stage2, reset
     blocks are uniform, and tables touching a reset block become product
     distributions.
@@ -264,7 +265,7 @@ class LpOracle:
         view = build_ball(self.oracle, label, self.rounds + 1)
         prog, z2 = self._solve(view)
         self.last_query_cost = view.queries
-        return float(z2[prog.index[label]])
+        return float(z2[prog.col_labels.index(label)])
 
     def _solve(self, view: CommGraphView):
         """The ball's program and its phase-2 vector."""
@@ -279,15 +280,16 @@ class LpOracle:
         self.last_query_cost = costs[0]
         return values[0]
 
-    def query_many(self, names) -> tuple[list[float], list[int]]:
+    def query_many(self, names, memo=None) -> tuple[list[float], list[int]]:
         """Repaired values of `names`, in order, and each name's query cost.
 
         Values and costs are exactly those of `query` called once per name:
-        a name's cost is what its ball costs on its own.  The underlying
-        counter is charged once per distinct slot and payload the call
-        reveals, through one `RevealMemo`.  Consecutive names with the same
-        anchor (the variable of an x name, the constraint of a mu name)
-        share one ball.
+        a name's cost is what its ball costs on its own.  Every ball search
+        reads through one `RevealMemo` (the caller's `memo`, over a handle
+        on the same instance, or else a new one over `self.oracle`), whose
+        handle pays once per distinct slot and payload.  Consecutive names
+        with the same anchor (the variable of an x name, the constraint of a
+        mu name) share one ball.
 
         A closed ball is its anchors' whole component.  An x name whose
         variable sits at level d of a closed x ball of depth E, with
@@ -305,7 +307,9 @@ class LpOracle:
         most the instance's program plus one open ball, and all of it ends
         with the call.
         """
-        memo = RevealMemo(self.oracle)
+        memo = RevealMemo(self.oracle) if memo is None else memo
+        if memo.instance is not self.oracle.instance:
+            raise ValueError("memo reads another instance than this oracle's")
         values, costs, deferred = [None] * len(names), [], []
         whole = CommGraphView()   # union of the call's closed balls
         closed_x = {}             # variable -> a closed x ball scanning it

@@ -29,6 +29,7 @@ the affected local tables are rebuilt as product distributions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -193,8 +194,10 @@ class PackingProgram:
     c: np.ndarray                # rhs per inequality
     col_scale: np.ndarray        # stage-2 value = z / col_scale
 
-    def __post_init__(self):
-        self.index = {lab: i for i, lab in enumerate(self.col_labels)}
+    @cached_property
+    def index(self) -> dict:
+        """Column position of each label."""
+        return {lab: i for i, lab in enumerate(self.col_labels)}
 
     @property
     def num_cols(self):

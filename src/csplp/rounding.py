@@ -121,29 +121,24 @@ def unfold_value(fm: FoldingMap, folded_beta, v: int, draw_seed: int | None = No
     return fm.draw(v, draw_seed) if rule == DRAW else int(rule)
 
 
-def shared_buckets(oracle: ConstraintOracle, fm: FoldingMap) -> set[int]:
+def shared_buckets(slots: SlotScan, fm: FoldingMap) -> set[int]:
     """Buckets that get the draw rule.
 
     These hold two distinct variables of one constraint and have a
-    discretized marginal with at least two nonzero values.  Only variables
-    of such spread buckets are scanned, through the oracle, and a bucket's
-    scan stops at its first shared constraint.
+    discretized marginal with at least two nonzero values.  Constraint ids
+    come from `slots`, the scan every candidate's estimate reads, and a
+    bucket's check stops at its first shared constraint.
     """
-    inst = oracle.instance
+    inst = slots.instance
     spread = {b for key, b in fm.buckets.items() if sum(1 for k in key if k) > 1}
     shared: set[int] = set()
-    for v in range(inst.n):
+    for v, cids in enumerate(slots.cids):
         b = fm.bucket_of(v)
         if b not in spread or b in shared:
             continue
-        for i in range(1, inst.t + 1):
-            cid = oracle.query(v, i)
-            if cid is None:
-                break
-            if any(u != v and fm.bucket_of(u) == b
-                   for u in inst.constraints[cid].distinct_vars()):
-                shared.add(b)
-                break
+        if any(u != v and fm.bucket_of(u) == b
+               for cid in cids for u in inst.constraints[cid].distinct_vars()):
+            shared.add(b)
     return shared
 
 
@@ -154,7 +149,7 @@ class SlotScan:
 
     The scan runs on the first read of `cids`, so its queries are metered
     there, and it stops at each variable's first empty slot.  One scan
-    serves every candidate estimated over it.
+    serves the bucket check and every candidate estimated over it.
     """
 
     def __init__(self, oracle: ConstraintOracle):
@@ -244,12 +239,12 @@ def round_assignment(oracle: ConstraintOracle, lp_oracle, epsilon: float,
     below epsilon * n any answer is within the additive slack already; we
     return a flagged zero-estimate result.
 
-    Counted queries are distinct reveals per trial.  The n*q marginals
-    are read through one `lp_oracle.query_many` call, which charges its
-    oracle once per slot its balls reveal.  The bucket scan and the
-    candidates' one `SlotScan` read the base oracle through one
-    `RevealMemo`, so a slot is charged once.  The scan runs inside the
-    first candidate's estimate, and the transcript's query column counts
+    Counted queries are distinct reveals per trial, the LP oracle's too:
+    one `RevealMemo` over the base oracle serves the `lp_oracle.query_many`
+    call for the n*q marginals, then the `SlotScan` of the bucket check
+    and every candidate.  Each variable anchors a ball search that reads
+    its slots up to the first empty one, so the scan reveals nothing new
+    and a trial pays each slot once.  The transcript's query column counts
     each candidate's new reveals.
     """
     inst = oracle.instance
@@ -257,12 +252,13 @@ def round_assignment(oracle: ConstraintOracle, lp_oracle, epsilon: float,
         return RoundingResult(0.0, None, None, [], short_circuited=True)
 
     q = inst.q
-    values, _ = lp_oracle.query_many([("x", v, a) for v in range(inst.n) for a in range(q)])
+    memo = RevealMemo(oracle)
+    values, _ = lp_oracle.query_many([("x", v, a) for v in range(inst.n) for a in range(q)], memo)
     x = np.array(values).reshape(inst.n, q)
     fm = fold_map(x, default_fold_eps(inst, epsilon))
 
-    memo = RevealMemo(oracle)
-    shared = shared_buckets(memo, fm)
+    slots = SlotScan(memo)
+    shared = shared_buckets(slots, fm)
     rules = [tuple(range(q)) + ((DRAW,) if b in shared else ())
              for b in range(fm.bucket_count)]
     count = math.prod(len(r) for r in rules)
@@ -270,7 +266,6 @@ def round_assignment(oracle: ConstraintOracle, lp_oracle, epsilon: float,
         raise FoldTooLarge(f"{count} folded assignments exceed budget {ASSIGNMENT_BUDGET}")
     delta = 1.0 / (3.0 * count)
 
-    slots = SlotScan(memo)
     rng = np.random.default_rng(seed)
     transcript = []
     best_beta, best_est = None, -math.inf

@@ -28,5 +28,7 @@ class SolutionLpOracle:
             return float(self.sol.mu[cid][self._flat_index[(cid, beta)]])
         raise ValueError(f"unknown column name {name}")
 
-    def query_many(self, names) -> tuple[list[float], list[int]]:
+    def query_many(self, names, memo=None) -> tuple[list[float], list[int]]:
+        """Values read from the solution; `memo` is accepted and unused,
+        since no value here costs an instance query."""
         return [self.query(name) for name in names], [1] * len(names)

@@ -70,9 +70,24 @@ def test_local_lp_malformed_query_exits_2_with_one_line(tri_path, name, capsys):
     ["test-sat", "--epsilon", "-0.2"],
     ["gap", "verify", "--epsilon", "0"],
     ["gap", "verify", "--epsilon", "-1"],
+    ["round", "--epsilon", "0.3", "--trials", "0"],
+    ["round", "--epsilon", "0.3", "--trials", "-2"],
+    ["test-sat", "--epsilon", "0.3", "--trials", "0"],
+    ["gap", "verify", "--trials", "0"],
+    ["gap", "verify", "--trials", "-2"],
+    ["gap", "collide", "--trials", "0"],
+    ["round", "--epsilon", "0.3", "--jobs", "0"],
+    ["test-sat", "--epsilon", "0.3", "--jobs", "-1"],
+    ["test-sat", "--epsilon", "0.3", "--delta", "nan"],
+    ["test-sat", "--epsilon", "0.3", "--delta", "5"],
+    ["test-sat", "--epsilon", "0.3", "--delta", "0"],
 ], ids=["local-lp-cap-0", "local-lp-cap-negative", "round-cap-0", "test-sat-cap-0",
         "round-eps-above-1", "round-eps-0", "test-sat-eps-above-1", "test-sat-eps-negative",
-        "gap-verify-eps-0", "gap-verify-eps-negative"])
+        "gap-verify-eps-0", "gap-verify-eps-negative", "round-trials-0",
+        "round-trials-negative", "test-sat-trials-0", "gap-verify-trials-0",
+        "gap-verify-trials-negative", "gap-collide-trials-0", "round-jobs-0",
+        "test-sat-jobs-negative", "test-sat-delta-nan", "test-sat-delta-above-1",
+        "test-sat-delta-0"])
 def test_out_of_range_option_exits_2_with_one_line(tri_path, argv, capsys):
     instance = ["--seed-instance" if argv[0] == "gap" else "--instance", tri_path]
     with pytest.raises(SystemExit) as exit_info:
@@ -295,20 +310,22 @@ def test_pipeline_dump_golden(tmp_path, name, stage):
 # counting distinct reveals per trial; the `local-lp` and `round` CSVs of the
 # random, union and Horn instances as of ball searches that stop at a variable's
 # first empty slot (only their query_cost column moved; a triangle variable's
-# first empty slot is its last, slot t, so the triangle pins hold)
+# first empty slot is its last, slot t, so the triangle pins hold); the four
+# `round` CSVs as of one reveal memo shared by the LP oracle's ball searches
+# and the rounding's own scans (only query_cost moved, each trial's halving)
 ORACLE_SHA256 = {
     ("triangle", "assemble"): "5316ea7e1e1798609e8266ab80334e04eec901ba6c670ed012f97790925ba3e2",
     ("triangle", "query"): "466ddbfdc15436100f05b7f72d7d9a80d383be507d9939f3ce9301c2e414a6a5",
-    ("triangle", "round"): "b3007d19bbf52b197f641d0b625202a09a2e72eaf9fa5b8c0734bf025ef03d05",
+    ("triangle", "round"): "62821b295bccf53642616cb9dc879c511f604f633e37eea8117b6230660b77b1",
     ("random", "assemble"): "a4bb58a51921008b9e0abf4760df929918d320a9e3646ec0bef92c8ecd9b28e4",
     ("random", "query"): "96e90fe0080cdc3c2b1eba8466382eda321926db823bc2443a4e714bf6d13485",
-    ("random", "round"): "0a661b901cf8fe6d499106f8617ad3efd9fa0400c12b3c3a40e95e9f10b69100",
+    ("random", "round"): "b92ecf5dce460113722e5192f32f1ac6a95a919061c5f55ed070ebfa8b124e16",
     ("union", "assemble"): "450440b3416874a58414cc3998c5f8c62b764af3755d461380838c962550272f",
     ("union", "query"): "c6bd2829c3be90154818f23864573deaf8b5b26f0d799523d5593028c9077d87",
-    ("union", "round"): "9bb7b81f86fefed63cfc24fac009c2f0d319d25ec2adac71d1b0d13725747e23",
+    ("union", "round"): "8321236d096256bca984e610f50471e5b7227ea7fba70b285d9ff8cfa4bb2c9c",
     ("horn", "assemble"): "c6762c8dc85e0ea7a7ce7d3208aa05c2dbd85847e5d89b6c5f24932f134f8d8a",
     ("horn", "query"): "e7f4b97dcf346d2168b732bc168bee887bdfa817f89050dd318a5d26445c2a8b",
-    ("horn", "round"): "d734cefc4b49cf7870ff9e5baa7c15899371812aa55dd5115596985c35e33b67",
+    ("horn", "round"): "ec29aaecab1c8c26929e3a346d1856e556b3bf0c2a1618b004fe71472cc0f5cc",
     ("horn", "test-sat"): "74c115d73fb7b5d06fd1c72129ee2debb2258444a74cc034b98c7ded7f75ad0c",
 }
 ORACLE_RUNS = {

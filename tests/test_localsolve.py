@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from csplp import corpus, localsolve
-from csplp.csp import ConstraintOracle, Constraint, build_instance, connected_components
+from csplp.csp import (ConstraintOracle, Constraint, RevealMemo, build_instance,
+                       connected_components)
 from csplp.lp import LpSolution, infeasibility, marginal_rows, mu_assignments, solve_basic_lp
 from csplp.localsolve import (
     BallProgram,
@@ -444,9 +445,35 @@ class TestQueryMany:
     def test_rounding_counts_distinct_marginal_reveals(self):
         inst = corpus.horn_satisfiable(3, n=16, m=20)
         lo, _ = make_oracle(inst)
-        round_assignment(ConstraintOracle(inst), lo, 0.3, 0)
+        base = ConstraintOracle(inst)
+        round_assignment(base, lo, 0.3, 0)
         names = [("x", v, a) for v in range(inst.n) for a in range(inst.q)]
-        assert lo.oracle.query_count == distinct_reveals(lo, names)
+        assert base.query_count + lo.oracle.query_count == distinct_reveals(lo, names)
+
+    def test_shared_memo_keeps_values_and_costs(self):
+        # a caller's memo changes who pays for a reveal, not what a name
+        # reads or what it costs on its own
+        inst = corpus.horn_satisfiable(3, n=16, m=20)
+        names = [("x", v, a) for v in range(inst.n) for a in range(inst.q)]
+        lo, _ = make_oracle(inst)
+        own = lo.query_many(names)
+        paid = lo.oracle.query_count
+        base = ConstraintOracle(inst)
+        memo = RevealMemo(base)
+        assert lo.query_many(names, memo) == own
+        # the memo's handle pays, each distinct reveal once, and a second
+        # call through the same memo reveals nothing new
+        assert lo.oracle.query_count == paid
+        assert base.query_count == paid == distinct_reveals(lo, names)
+        assert lo.query_many(names, memo) == own
+        assert base.query_count == paid
+
+    def test_memo_over_another_instance_is_rejected(self):
+        lo, _ = make_oracle(corpus.triangle())
+        other = RevealMemo(ConstraintOracle(corpus.triangle()))
+        with pytest.raises(ValueError, match="another instance"):
+            lo.query_many([("x", 0, 0)], other)
+        assert other.asked == lo.oracle.query_count == 0
 
 
 class TestCorpusQuality:

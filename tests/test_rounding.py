@@ -1,3 +1,4 @@
+import inspect
 import itertools
 
 import numpy as np
@@ -254,18 +255,26 @@ class TestRound:
             assert a == (res.fold.draw(v, 3) if rule == DRAW else rule)
 
     def test_trial_reads_each_slot_once(self):
-        # the bucket scan and every candidate's estimate share one reveal
-        # memo, and the marginals one `query_many` call, so a trial pays for
-        # each (v, i) slot at most once on either oracle
+        # the marginals' ball searches, the bucket check and every
+        # candidate's estimate read through one reveal memo, and every
+        # variable anchors a search that reads its slots up to the first
+        # empty one, so a trial pays for exactly those slots, once
         for n in (16, 32, 64):
             inst = corpus.horn_satisfiable(n, n=n, m=round(1.25 * n))
             base, lp_oracle = ConstraintOracle(inst), local_oracle(inst)
             res = round_assignment(base, lp_oracle, 0.3, seed=n)
-            # every candidate scans the same slots, so only the first reveals any
-            assert res.transcript[0][2] > 0 and len(res.transcript) > 1
-            assert all(queries == 0 for _, _, queries in res.transcript[1:])
-            assert base.query_count <= n * inst.t
-            assert lp_oracle.oracle.query_count <= n * inst.t
+            assert base.query_count + lp_oracle.oracle.query_count == sum(
+                min(inst.t, inst.degree(v) + 1) for v in range(inst.n))
+            assert len(res.transcript) > 1
+            assert all(queries == 0 for _, _, queries in res.transcript)
+
+    def test_solution_double_takes_the_oracle_parameters(self):
+        # rounding passes its memo to whichever LP oracle it is given
+        def params(fn):
+            return [(p.name, p.kind, p.default)
+                    for p in inspect.signature(fn).parameters.values()]
+
+        assert params(SolutionLpOracle.query_many) == params(LpOracle.query_many)
 
     def test_trial_repairs_draws_and_scans_once(self, monkeypatch):
         # one repair per variable block for the n q marginals, one seeded
